@@ -281,10 +281,10 @@ func BenchmarkB10MorselSkew(b *testing.B) {
 }
 
 // --- B9: vectorized batch pipeline — the same scan→filter→hash-join→project
-// plan executed row-at-a-time, at fixed batch sizes, and under the auto
-// (cost-chosen) protocol. The gap is per-tuple iterator dispatch plus
-// governor polling; batch must clear 1.5× row throughput at n=2000 (gated
-// via cmd/benchdiff, demonstrated by `go run ./cmd/repro -exp B9`). ---
+// plan executed at batch size 1 (the row-at-a-time ablation), at fixed batch
+// sizes, and at the default size. The gap is per-call iterator dispatch plus
+// governor polling (gated via cmd/benchdiff, demonstrated by
+// `go run ./cmd/repro -exp B9`). ---
 
 func BenchmarkB9BatchPipeline(b *testing.B) {
 	const q = `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`
@@ -303,7 +303,7 @@ func BenchmarkB9BatchPipeline(b *testing.B) {
 		})
 		eng := tmdb.New(cat, db)
 		b.Run(fmt.Sprintf("row/n=%d", n), func(b *testing.B) {
-			benchBatch(b, eng, -1)
+			benchBatch(b, eng, 1)
 		})
 		for _, size := range []int{64, 256, 1024} {
 			b.Run(fmt.Sprintf("batch=%d/n=%d", size, n), func(b *testing.B) {

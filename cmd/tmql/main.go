@@ -9,7 +9,7 @@
 //	tmql -q 'SELECT d.name FROM DEPT d'
 //	tmql -q '...' -strategy naive -explain
 //	tmql -q '...' -par 8           (morsel-scheduler degree 8)
-//	tmql -q '...' -batch 1024      (vectorized batches of 1024 rows; -1 = rows)
+//	tmql -q '...' -batch 64        (batches of 64 rows; -1 = 1 row per batch)
 //	tmql -q '...' -rewrite         (pin the §6-rewritten alternative)
 //	tmql -q '...' -pin 'order:((z y) x)'
 //	tmql -plancache 64             (bound the LRU plan cache)
@@ -29,10 +29,9 @@
 //	\strategy auto|naive|nestjoin|kim|outerjoin
 //	\joins auto|nl|hash|merge|index
 //	\par <n>                      (0 = planner default, 1 = serial, n >= 2 = degree)
-//	\batch <n>|auto|row           (vectorized execution: auto lets the cost
-//	                               model weigh batched against row-at-a-time
-//	                               plans, n pins batches of n rows, row pins
-//	                               row-at-a-time)
+//	\batch <n>|auto|row           (rows per batch: auto is the default size,
+//	                               n sets batches of n rows, row runs one row
+//	                               per batch — the row-at-a-time ablation)
 //	\rewrite on|off               (pin / unpin the §6-rewritten alternative)
 //	\pin <label>|off              (pin a logical alternative by label)
 //	\access auto|scan|index       (access path for selections: auto lets the
@@ -91,7 +90,7 @@ func main() {
 		joins    = flag.String("joins", "auto", "auto | nl | hash | merge | index")
 		access   = flag.String("access", "auto", "auto | scan | index (access path for selections)")
 		par      = flag.Int("par", 0, "morsel-scheduler degree: worker pool and hash partitions (0 = planner default, 1 = serial)")
-		batch    = flag.Int("batch", 0, "rows per vectorized batch and morsel (0 = cost model decides, -1 = row-at-a-time)")
+		batch    = flag.Int("batch", 0, "rows per batch and morsel (0 = default, -1 = 1, the row-at-a-time ablation)")
 		noSteal  = flag.Bool("nosteal", false, "disable work stealing in the morsel scheduler (ablation; results identical)")
 		rewrite  = flag.Bool("rewrite", false, "pin the §6-rewritten logical alternative (the optimizer considers rewrites either way)")
 		pin      = flag.String("pin", "", "pin a logical alternative by candidate-table label (base | rewrite | order:…)")
@@ -316,7 +315,7 @@ func repl(eng *engine.Engine, opts engine.Options) {
 			case opts.BatchSize > 0:
 				fmt.Printf("batch = %d (\\batch <n>|auto|row to change)\n", opts.BatchSize)
 			case opts.BatchSize < 0:
-				fmt.Println("batch = row (\\batch <n>|auto|row to change)")
+				fmt.Println("batch = row, 1 row per batch (\\batch <n>|auto|row to change)")
 			default:
 				fmt.Println("batch = auto (\\batch <n>|auto|row to change)")
 			}
@@ -325,14 +324,14 @@ func repl(eng *engine.Engine, opts engine.Options) {
 			switch arg {
 			case "auto":
 				opts.BatchSize = 0
-				fmt.Println("batch = auto (cost model weighs batched vs row plans)")
+				fmt.Println("batch = auto (the default batch size)")
 			case "row":
 				opts.BatchSize = -1
-				fmt.Println("batch = row (row-at-a-time execution pinned)")
+				fmt.Println("batch = row (1 row per batch: the row-at-a-time ablation)")
 			default:
 				n, err := strconv.Atoi(arg)
 				if err != nil || n <= 0 {
-					fmt.Println("usage: \\batch <n>|auto|row  (n > 0 pins batches of n rows)")
+					fmt.Println("usage: \\batch <n>|auto|row  (n > 0 sets batches of n rows)")
 					continue
 				}
 				opts.BatchSize = n

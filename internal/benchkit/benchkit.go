@@ -107,7 +107,7 @@ type Run struct {
 	Value    value.Value
 	Duration time.Duration
 	Steps    int64
-	Batch    int // rows per vectorized batch the run executed with (0 = row-at-a-time)
+	Batch    int // rows per batch the run executed with (1 = the row-at-a-time ablation)
 	Err      error
 }
 

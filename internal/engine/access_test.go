@@ -60,6 +60,26 @@ func TestIndexScanChosen(t *testing.T) {
 	}
 }
 
+// TestExplainIndexScanOmitsBaseScan: an index-served selection renders as
+// its IndexScan alone — the full scan of X it replaces never runs, so
+// EXPLAIN must not show it as a child.
+func TestExplainIndexScanOmitsBaseScan(t *testing.T) {
+	eng := accessEngine(t)
+	if err := eng.CreateIndex("X", "b"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := eng.Explain(`SELECT x FROM X x WHERE x.b = 7`, Options{Access: planner.AccessIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "IndexScan(X) using X(b)") {
+		t.Fatalf("EXPLAIN does not render the index scan:\n%s", out)
+	}
+	if strings.Contains(out, "Scan(X)  (") || strings.Contains(out, "Scan(X)[") {
+		t.Errorf("EXPLAIN renders a full scan of X under the index scan:\n%s", out)
+	}
+}
+
 // TestCompositeIndexScanPrefixAndResidual: a composite index serves
 // multi-attribute equality conjuncts; a partially covering conjunct set
 // probes the prefix and keeps the rest as residual.

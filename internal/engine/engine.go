@@ -144,15 +144,12 @@ type Options struct {
 	// plan-cache key and identical queries share cached plans across
 	// different budgets.
 	Limits Limits
-	// BatchSize controls vectorized (batch-at-a-time) execution. The zero
-	// value defers to the planner: under StrategyAuto the cost model weighs a
-	// vectorized variant (at exec.DefaultBatchSize) against row-at-a-time for
-	// every candidate; under a fixed strategy zero stays row-at-a-time so
-	// historical experiment numbers are unaffected. A positive value pins
-	// vectorized execution at that many rows per batch (clamped to
-	// exec.MaxBatchSize); a negative value pins row-at-a-time execution.
-	// Results are identical either way — batching only trades dispatch
-	// overhead.
+	// BatchSize is the rows-per-batch size every plan executes at: the zero
+	// value means exec.DefaultBatchSize, a positive value that many rows
+	// (clamped to exec.MaxBatchSize), and a negative value 1 — the
+	// row-at-a-time ablation. Results and EvalSteps are identical at every
+	// size; the size only trades per-batch overhead against per-row
+	// dispatch.
 	BatchSize int
 	// NoSteal disables work stealing in the morsel scheduler, pinning every
 	// morsel to its home worker — the partition-dedicated assignment the
@@ -175,17 +172,12 @@ func (o Options) pin() string {
 	return ""
 }
 
-// batch canonicalizes the BatchSize option for the plan-cache key: every
-// negative value pins row-at-a-time (-1), positive values clamp to the
-// effective size, zero defers to the planner.
+// batch resolves the BatchSize option to the effective batch size.
 func (o Options) batch() int {
-	switch {
-	case o.BatchSize < 0:
-		return -1
-	case o.BatchSize > 0:
-		return exec.NormalizeBatchSize(o.BatchSize)
+	if o.BatchSize < 0 {
+		return 1
 	}
-	return 0
+	return exec.NormalizeBatchSize(o.BatchSize)
 }
 
 // resolveParallelism maps the option to an effective degree for the given
@@ -225,7 +217,8 @@ type Result struct {
 	// Parallelism is the partitioned-execution degree the plan ran at
 	// (1 = serial).
 	Parallelism int
-	// Batch is the vectorized batch size the plan ran at (0 = row-at-a-time).
+	// Batch is the rows-per-batch size the plan ran at (1 = the
+	// row-at-a-time ablation).
 	Batch int
 	// Cost is the plan's estimated cost. Populated only on the cost-based
 	// path (Auto), so fixed-strategy benchmark runs skip statistics work.
@@ -238,7 +231,9 @@ type Result struct {
 	// excluding parse/bind).
 	Duration time.Duration
 	// EvalSteps counts elementary expression-evaluation steps performed by
-	// operators and naive evaluation — a machine-independent work measure.
+	// operators (compiled row programs count the nodes they evaluate, as
+	// the evaluator does) and naive evaluation — a machine-independent work
+	// measure, identical at every batch size and degree.
 	EvalSteps int64
 	// Sched reports the morsel scheduler's per-query counters: morsels
 	// dispatched to their home worker, morsels stolen by idle workers, and
@@ -349,26 +344,14 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 	})
 	defer recoverAbort(gov, &res, &err)
 	pltr := planner.New(ectx, planner.Options{Joins: pl.joins, Parallelism: pl.par, Access: pl.access, BatchSize: pl.batch})
-	var v value.Value
-	if pl.batch > 0 {
-		it, cerr := pltr.CompileBatch(pl.plan)
-		if cerr != nil {
-			if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
-				return nil, terr
-			}
-			return nil, cerr
+	it, err := pltr.CompileBatch(pl.plan)
+	if err != nil {
+		if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
+			return nil, terr
 		}
-		v, err = exec.CollectBatchesGoverned(gov, it)
-	} else {
-		it, cerr := pltr.Compile(pl.plan)
-		if cerr != nil {
-			if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
-				return nil, terr
-			}
-			return nil, cerr
-		}
-		v, err = exec.CollectGoverned(gov, it)
+		return nil, err
 	}
+	v, err := exec.CollectBatchesGoverned(gov, it)
 	if err != nil {
 		// A table dropped between the liveness pre-check and execution fails
 		// deep in the executor with an untyped unknown-table error; reclassify
@@ -479,13 +462,7 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options, par int) (*planned, err
 		if access == planner.AccessAuto {
 			access = planner.AccessScan
 		}
-		// Like parallelism and index scans, vectorization on a fixed strategy
-		// is an explicit opt-in: zero stays row-at-a-time.
-		batch := 0
-		if opts.BatchSize > 0 {
-			batch = exec.NormalizeBatchSize(opts.BatchSize)
-		}
-		pl = &planned{plan: p, strategy: opts.Strategy, alt: alt, joins: opts.Joins, access: access, par: par, batch: batch}
+		pl = &planned{plan: p, strategy: opts.Strategy, alt: alt, joins: opts.Joins, access: access, par: par, batch: opts.batch()}
 	}
 	// Result.Parallelism reports the degree the plan actually runs at: a
 	// degree > 1 on a (possibly rewritten) plan with nothing to partition
@@ -530,9 +507,12 @@ func (e *Engine) autoPlan(bound tmql.Expr, opts Options, par int) (*planned, err
 	if err != nil {
 		return nil, err
 	}
-	best, all, err := est.ChooseExec(alts, opts.Joins, par, opts.Access, opts.BatchSize)
+	best, all, err := est.Choose(alts, opts.Joins, par, opts.Access)
 	if err != nil {
 		return nil, err
+	}
+	for i := range all {
+		all[i].Batch = opts.batch()
 	}
 	return &planned{
 		plan:       best.Plan,
@@ -541,7 +521,7 @@ func (e *Engine) autoPlan(bound tmql.Expr, opts Options, par int) (*planned, err
 		joins:      best.Joins,
 		access:     best.Access,
 		par:        best.Par,
-		batch:      best.Batch,
+		batch:      opts.batch(),
 		cost:       best.Cost,
 		auto:       true,
 		candidates: all,
@@ -613,16 +593,12 @@ func (e *Engine) explainBound(bound tmql.Expr, opts Options) (string, error) {
 	if alt == "" {
 		alt = planner.AltBase
 	}
-	batch := "row"
-	if pl.batch > 0 {
-		batch = fmt.Sprintf("%d", pl.batch)
-	}
 	// sched/morsel render the runtime configuration the plan executes under:
 	// the scheduler's worker-pool size (= the degree) and the effective
-	// rows-per-morsel the exchange feeds it.
-	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s parallelism=%d sched=%d morsel=%d batch=%s (%s)\n",
-		pl.strategy, alt, pl.joins, pl.access, pl.par, pl.par, exec.NormalizeBatchSize(pl.batch), batch, mode)
-	b.WriteString(est.ExplainExec(pl.plan, pl.joins, pl.par, pl.access, pl.batch))
+	// rows-per-morsel the exchange feeds it (one batch per morsel).
+	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s parallelism=%d sched=%d morsel=%d batch=%d (%s)\n",
+		pl.strategy, alt, pl.joins, pl.access, pl.par, pl.par, pl.batch, pl.batch, mode)
+	b.WriteString(est.Explain(pl.plan, pl.joins, pl.par, pl.access, pl.batch))
 	if pl.auto && len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")
 		for _, c := range pl.candidates {

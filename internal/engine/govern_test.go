@@ -58,9 +58,9 @@ func TestDeadlineAbortsSlowPlan(t *testing.T) {
 	defer deactivate()
 	for _, par := range []int{1, 2, 8} {
 		base := runtime.NumGoroutine()
-		// BatchSize -1 pins row-at-a-time execution: this schedule's 1ms delay
-		// per PointScan hit only makes the plan slow when hits are per row.
-		// govern_batch_test.go covers the batched abort bounds.
+		// BatchSize -1 runs one row per batch: this schedule's 1ms delay per
+		// PointScan hit only makes the plan slow when hits are per row.
+		// govern_batch_test.go covers the abort bounds at larger sizes.
 		opts := Options{
 			Joins: planner.ImplHash, Parallelism: par, BatchSize: -1,
 			Limits: Limits{Timeout: 50 * time.Millisecond},

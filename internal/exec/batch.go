@@ -4,14 +4,16 @@ import (
 	"tmdb/internal/value"
 )
 
-// Vectorized execution: operators that move batches of up to N rows per call
-// instead of one row per Next(). The batch protocol exists to amortize the
-// two per-row costs that dominate B-series profiles — interface dispatch and
-// governor polling — into per-batch costs, and to let hot operators run tight
-// loops over row slices. Results are byte-identical to row-at-a-time
-// execution because every query result passes through the set
-// canonicalization in Collect/CollectBatches, which erases arrival order and
-// duplicates.
+// Vectorized execution: the one operator protocol plans run under.
+// Operators move batches of up to N rows per call, which amortizes the two
+// per-row costs of Volcano iteration — interface dispatch and governor
+// polling — into per-batch costs and lets hot operators run tight loops over
+// row slices through compiled row programs (batch_expr.go). Batch size 1 is
+// the row-at-a-time ablation. Results are byte-identical at every batch size
+// because every query result passes through the set canonicalization in
+// CollectBatches, which erases arrival order and duplicates; EvalSteps are
+// identical too, because compiled programs count the steps the evaluator
+// would.
 //
 // Protocol:
 //
@@ -32,7 +34,7 @@ import (
 //     batch that exceeded it rather than on the exact row.
 
 // DefaultBatchSize is the batch row capacity used when a size is not
-// explicitly configured (Options.BatchSize = 0 with batching selected).
+// explicitly configured.
 const DefaultBatchSize = 1024
 
 // MaxBatchSize caps configured batch sizes: it bounds the rows processed
@@ -111,8 +113,8 @@ func (c *Ctx) checkBatch() error {
 }
 
 // RowsToBatch adapts a row iterator to the batch protocol, buffering up to
-// Size rows per batch. It is how cold operators (sorts, set operations,
-// merge/NL joins) participate in batched plans.
+// Size rows per batch. It is how cold operators (nesting, set operations,
+// NL/index joins, index scans) participate in plans.
 type RowsToBatch struct {
 	It   Iterator
 	Size int
@@ -147,8 +149,8 @@ func (a *RowsToBatch) NextBatch() (*Batch, bool, error) {
 // Close closes the underlying iterator.
 func (a *RowsToBatch) Close() error { return a.It.Close() }
 
-// BatchToRows adapts a batch iterator to the row protocol, letting row-only
-// consumers (and cold row operators above a batched subtree) drain it.
+// BatchToRows adapts a batch iterator to the row protocol, letting cold row
+// operators drain a batched subtree.
 type BatchToRows struct {
 	In  BatchIterator
 	cur *Batch
@@ -187,9 +189,10 @@ func CollectBatches(it BatchIterator) (value.Value, error) {
 	return CollectBatchesGoverned(nil, it)
 }
 
-// CollectBatchesGoverned is the batched form of CollectGoverned: every batch
-// of rows is accounted against the row budget (pre-deduplication) and the
-// cancel state is polled once per batch.
+// CollectBatchesGoverned is CollectBatches under a governor: every batch of
+// rows is accounted against the row budget (pre-deduplication — the budget
+// bounds produced work, not distinct output) and the cancel state is polled
+// once per batch. A nil governor makes it plain CollectBatches.
 func CollectBatchesGoverned(gov *Governor, it BatchIterator) (value.Value, error) {
 	if err := it.Open(); err != nil {
 		return value.Value{}, err

@@ -15,14 +15,17 @@ import (
 // over value.Value, so the per-row batch loops skip the evaluator's tree
 // walk entirely. Everything outside this subset falls back to the generic
 // evaluator with a reused environment node (eval.Env.Rebind), which keeps
-// semantics and error behavior exactly those of the row engine.
+// semantics and error behavior exactly those of the evaluator.
 //
 // Semantics parity: compiled comparisons go through eval.Apply — the same
 // function the evaluator uses — and compiled field selection reproduces the
 // evaluator's error messages verbatim, so a query errors identically whether
-// its predicate compiled or not. Compiled programs do not advance the
-// evaluator's step counter: EvalSteps measures evaluator work performed, and
-// compiled batch loops genuinely perform none.
+// its predicate compiled or not. Compiled programs add one step per node
+// they evaluate to the context's evaluator, exactly as eval.EvalEnv does
+// (scalars and comparisons have a fixed node count, added once per
+// evaluation; AND/OR count as they short-circuit), so EvalSteps counts the
+// same work whether an expression compiled or not — and therefore does not
+// depend on batch size or degree.
 
 // scalar2 is a compiled scalar expression over up to two row variables.
 type scalar2 func(a, b value.Value) (value.Value, error)
@@ -33,7 +36,8 @@ type pred2 func(a, b value.Value) (bool, error)
 // compileScalar2 compiles e to a direct function of the rows bound to n1 and
 // n2 (pass n2 = "" for single-variable contexts), or nil when e falls
 // outside the compiled subset: literals, the row variables themselves, and
-// field-selection chains over them.
+// field-selection chains over them. Scalars do not count steps themselves:
+// their consumer adds nodes(e) per evaluation.
 func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 	switch n := e.(type) {
 	case *tmql.Lit:
@@ -76,19 +80,20 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 // scalars and AND/OR combinations of compiled predicates (which always yield
 // booleans, so the evaluator's short-circuit truthiness is reproduced
 // exactly).
-func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
+func compilePred2(e tmql.Expr, n1, n2 string, ev *eval.Evaluator) pred2 {
 	b, ok := e.(*tmql.Binary)
 	if !ok {
 		return nil
 	}
 	switch b.Op {
 	case tmql.OpAnd, tmql.OpOr:
-		l, r := compilePred2(b.L, n1, n2), compilePred2(b.R, n1, n2)
+		l, r := compilePred2(b.L, n1, n2, ev), compilePred2(b.R, n1, n2, ev)
 		if l == nil || r == nil {
 			return nil
 		}
 		and := b.Op == tmql.OpAnd
 		return func(a, c value.Value) (bool, error) {
+			ev.Steps++
 			lb, err := l(a, c)
 			if err != nil {
 				return false, err
@@ -103,8 +108,9 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 		if ls == nil || rs == nil {
 			return nil
 		}
-		op := b.Op
+		op, steps := b.Op, nodes(b)
 		return func(a, c value.Value) (bool, error) {
+			ev.Steps += steps
 			lv, err := ls(a, c)
 			if err != nil {
 				return false, err
@@ -123,6 +129,24 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 	return nil
 }
 
+// nodes is the number of evaluator steps one evaluation of a compiled
+// scalar, comparison or tuple constructor takes: one per node.
+func nodes(e tmql.Expr) int64 {
+	switch n := e.(type) {
+	case *tmql.FieldSel:
+		return 1 + nodes(n.X)
+	case *tmql.Binary:
+		return 1 + nodes(n.L) + nodes(n.R)
+	case *tmql.TupleCons:
+		s := int64(1)
+		for _, f := range n.Fields {
+			s += nodes(f.E)
+		}
+		return s
+	}
+	return 1
+}
+
 // rowPredicate evaluates a single-variable predicate per row: compiled when
 // the shape allows, generic evaluation under a reused environment node
 // otherwise. Not safe for concurrent use (the environment node is shared
@@ -139,7 +163,7 @@ func newRowPredicate(c *Ctx, pred tmql.Expr, varName string) *rowPredicate {
 	if pred == nil {
 		return p
 	}
-	if p.compiled = compilePred2(pred, varName, ""); p.compiled == nil {
+	if p.compiled = compilePred2(pred, varName, "", c.Ev); p.compiled == nil {
 		p.env = env1(varName, value.Value{})
 	}
 	return p
@@ -169,7 +193,7 @@ func newPairPredicate(c *Ctx, pred tmql.Expr, lvar, rvar string) *pairPredicate 
 	if pred == nil {
 		return p
 	}
-	if p.compiled = compilePred2(pred, lvar, rvar); p.compiled == nil {
+	if p.compiled = compilePred2(pred, lvar, rvar, c.Ev); p.compiled == nil {
 		p.envL = env1(lvar, value.Value{})
 		p.envR = p.envL.Bind(rvar, value.Value{})
 	}
@@ -195,11 +219,12 @@ type rowProjector struct {
 	c        *Ctx
 	out      tmql.Expr
 	compiled scalar2
+	steps    int64
 	env      *eval.Env
 }
 
 func newRowProjector(c *Ctx, out tmql.Expr, varName string) *rowProjector {
-	p := &rowProjector{c: c, out: out}
+	p := &rowProjector{c: c, out: out, steps: nodes(out)}
 	if p.compiled = compileProjector(out, varName); p.compiled == nil {
 		p.env = env1(varName, value.Value{})
 	}
@@ -239,6 +264,7 @@ func compileProjector(out tmql.Expr, varName string) scalar2 {
 
 func (p *rowProjector) eval(row value.Value) (value.Value, error) {
 	if p.compiled != nil {
+		p.c.Ev.Steps += p.steps
 		return p.compiled(row, value.Value{})
 	}
 	p.env.Rebind(row)
@@ -248,38 +274,33 @@ func (p *rowProjector) eval(row value.Value) (value.Value, error) {
 // keyEncoder appends the encoded join/partition key of a row onto a caller
 // scratch buffer: compiled extractors when every key expression is in the
 // scalar subset, generic evaluation under a reused environment otherwise.
-// countSteps forces the generic path — the parallel exchange uses it so
-// serial and parallel row plans report identical EvalSteps, a property the
-// parallelism tests pin. Not safe for concurrent use; fork per worker.
+// Not safe for concurrent use; fork per worker.
 type keyEncoder struct {
 	c        *Ctx
 	keys     []tmql.Expr
 	compiled []scalar2
+	steps    int64
 	env      *eval.Env
 }
 
-func newKeyEncoder(c *Ctx, keys []tmql.Expr, varName string, countSteps bool) *keyEncoder {
-	enc := &keyEncoder{c: c, keys: keys}
-	if !countSteps {
-		compiled := make([]scalar2, len(keys))
-		for i, k := range keys {
-			if compiled[i] = compileScalar2(k, varName, ""); compiled[i] == nil {
-				compiled = nil
-				break
-			}
+func newKeyEncoder(c *Ctx, keys []tmql.Expr, varName string) *keyEncoder {
+	enc := &keyEncoder{c: c, keys: keys, compiled: make([]scalar2, len(keys))}
+	for i, k := range keys {
+		enc.steps += nodes(k)
+		if enc.compiled[i] = compileScalar2(k, varName, ""); enc.compiled[i] == nil {
+			enc.compiled = nil
+			enc.env = env1(varName, value.Value{})
+			break
 		}
-		enc.compiled = compiled
-	}
-	if enc.compiled == nil {
-		enc.env = env1(varName, value.Value{})
 	}
 	return enc
 }
 
 // appendKey appends row's encoded key onto buf and returns the extended
-// slice, exactly as appendRowKey does for the row engine.
+// slice, exactly as appendRowKey does for the cold row operators.
 func (e *keyEncoder) appendKey(buf []byte, row value.Value) ([]byte, error) {
 	if e.compiled != nil {
+		e.c.Ev.Steps += e.steps
 		for _, s := range e.compiled {
 			kv, err := s(row, value.Value{})
 			if err != nil {

@@ -10,12 +10,18 @@ import (
 	"tmdb/internal/value"
 )
 
-// BatchHashJoin is the batched HashJoin: the right input is drained batch by
-// batch into the hash table, then each left batch is probed in one tight
-// loop and its join outputs emitted as one batch. All flat join kinds
-// (inner, semi, anti, left-outer) are supported with the row operator's
-// exact semantics; key extraction and residual evaluation run compiled where
-// the expressions allow.
+// BatchHashJoin is the hash implementation of the flat join family on
+// equi-keys: the right input is drained batch by batch into the hash table,
+// then each left batch is probed in one tight loop and its join outputs
+// emitted as one batch. All flat join kinds (inner, semi, anti, left-outer)
+// are supported; a residual predicate (the non-equi remainder of the join
+// condition) is re-checked against each bucket candidate, and key
+// extraction and residual evaluation run compiled where the expressions
+// allow. The build side is always the right operand: the planner shares
+// this operator shape with the nest join, where §6 requires the right
+// operand to be the build table. Semi and anti joins stop probing a bucket
+// at the first qualifying candidate — the early-out §8 exploits when
+// grouping is provably unnecessary.
 //
 // Governance follows the batched contract: one governor poll and one fault
 // point per batch on both build and probe sides, build-byte budget charges
@@ -49,7 +55,7 @@ func (j *BatchHashJoin) Open() error {
 	if err := j.R.Open(); err != nil {
 		return err
 	}
-	renc := newKeyEncoder(j.Ctx, j.RKeys, j.RVar, false)
+	renc := newKeyEncoder(j.Ctx, j.RKeys, j.RVar)
 	j.table = newHashTable(0)
 	for {
 		bt, ok, err := j.R.NextBatch()
@@ -74,7 +80,7 @@ func (j *BatchHashJoin) Open() error {
 		}
 		j.pad = nullTuple(j.RElem)
 	}
-	j.lenc = newKeyEncoder(j.Ctx, j.LKeys, j.LVar, false)
+	j.lenc = newKeyEncoder(j.Ctx, j.LKeys, j.LVar)
 	j.res = newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
 	return j.L.Open()
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/faultinject"
 	"tmdb/internal/tmql"
@@ -60,8 +61,8 @@ func (s *BatchTableScan) NextBatch() (*Batch, bool, error) {
 // Close releases the row slice.
 func (s *BatchTableScan) Close() error { s.rows = nil; return nil }
 
-// BatchSliceScan iterates a fixed slice in zero-copy batches; the batched
-// SliceScan.
+// BatchSliceScan iterates a fixed slice in zero-copy batches; used by tests
+// and by operators that materialize intermediate results.
 type BatchSliceScan struct {
 	Rows []value.Value
 	Size int
@@ -94,7 +95,8 @@ func (s *BatchSliceScan) NextBatch() (*Batch, bool, error) {
 // Close is a no-op.
 func (s *BatchSliceScan) Close() error { return nil }
 
-// BatchFilter is the batched σ: it emits the input batch's qualifying rows.
+// BatchFilter implements σ: it emits the input batch's rows satisfying
+// Pred(Var).
 type BatchFilter struct {
 	Ctx  *Ctx
 	In   BatchIterator
@@ -165,6 +167,7 @@ func (m *BatchMap) NextBatch() (*Batch, bool, error) {
 		return nil, false, err
 	}
 	m.out.reset()
+	m.out.Rows = slices.Grow(m.out.Rows, len(bt.Rows))
 	for _, v := range bt.Rows {
 		ov, err := m.proj.eval(v)
 		if err != nil {
@@ -178,10 +181,11 @@ func (m *BatchMap) NextBatch() (*Batch, bool, error) {
 // Close closes the input.
 func (m *BatchMap) Close() error { return m.In.Close() }
 
-// BatchDistinct removes duplicates across batches. It dedups on the
-// canonical key encoding (the same identity value.Key gives the row
-// Distinct), looked up allocation-free via string(buf); only first-seen rows
-// pay a retained key-string allocation.
+// BatchDistinct removes duplicates across batches (TM collections are sets;
+// operators such as Map may introduce duplicates that must not reach
+// set-valued results). It dedups on the canonical key encoding (the identity
+// value.Key gives), looked up allocation-free via string(buf); only
+// first-seen rows pay a retained key-string allocation.
 type BatchDistinct struct {
 	Ctx     *Ctx
 	In      BatchIterator

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tmdb/internal/algebra"
+	"tmdb/internal/eval"
 	"tmdb/internal/tmql"
 	"tmdb/internal/types"
 	"tmdb/internal/value"
@@ -25,12 +26,13 @@ func collectBatches(t *testing.T, it BatchIterator) value.Value {
 // partial final batch, and the default.
 var batchSizes = []int{1, 3, 64, DefaultBatchSize}
 
-// TestAdaptersRoundTrip checks rows → batches → rows preserves content and
-// order at every batch size.
+// TestAdaptersRoundTrip checks batches → rows → batches → rows preserves
+// content and order at every batch size.
 func TestAdaptersRoundTrip(t *testing.T) {
 	rows := genRows(257, 13, "k", "v")
 	for _, size := range batchSizes {
-		got, err := Drain(&BatchToRows{In: &RowsToBatch{It: &SliceScan{Rows: rows}, Size: size}})
+		in := &BatchToRows{In: &BatchSliceScan{Rows: rows, Size: size}}
+		got, err := Drain(&BatchToRows{In: &RowsToBatch{It: in, Size: size}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,9 +47,34 @@ func TestAdaptersRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchPipelineMatchesRow runs scan → filter → map → distinct in both
-// engines at every batch size, with predicates and projections inside and
-// outside the compiled subset, asserting canonical equality.
+// evalPipeline is the evaluator's reading of scan → filter → map → distinct:
+// the result set and the EvalSteps it takes.
+func evalPipeline(t *testing.T, rows []value.Value, p, out tmql.Expr) (value.Value, int64) {
+	t.Helper()
+	ev := eval.New(nil)
+	b := value.NewSetBuilder(0)
+	for _, r := range rows {
+		env := env1("x", r)
+		keep, err := ev.EvalEnv(p, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !keep.AsBool() {
+			continue
+		}
+		o, err := ev.EvalEnv(out, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Add(o)
+	}
+	return b.Build(), ev.Steps
+}
+
+// TestBatchPipelineMatchesRow runs scan → filter → map → distinct at every
+// batch size (1 is the row-at-a-time ablation), with predicates and
+// projections inside and outside the compiled subset, asserting canonical
+// equality with the evaluator and the evaluator's exact EvalSteps.
 func TestBatchPipelineMatchesRow(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
 	cases := []struct {
@@ -57,17 +84,15 @@ func TestBatchPipelineMatchesRow(t *testing.T) {
 	}{
 		// Compiled: comparisons and field selections only.
 		{"compiled", "x.k <= 11", "(a = x.k, b = x.v)"},
-		// Conjunction still compiled; projection a bare scalar.
+		// Conjunction still compiled (and short-circuits); projection a bare
+		// scalar.
 		{"compiled-and", "x.k <= 11 and x.v >= 20", "x.k"},
-		// Arithmetic forces the generic fallback on both sides.
+		{"compiled-or", "x.k <= 3 or x.v >= 450", "x"},
+		// Arithmetic forces the generic fallback.
 		{"generic", "x.v % 3 = 0", "(m = x.v * 2)"},
 	}
 	for _, tc := range cases {
-		ctx := NewCtx(nil)
-		row := &Distinct{Ctx: ctx, In: &MapIter{Ctx: ctx, In: &Filter{
-			Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred(tc.pred)},
-			Var: "x", Out: pred(tc.out)}}
-		want := collect(t, row)
+		want, wantSteps := evalPipeline(t, rows, pred(tc.pred), pred(tc.out))
 		for _, size := range batchSizes {
 			bctx := NewCtx(nil)
 			bat := &BatchDistinct{Ctx: bctx, In: &BatchMap{Ctx: bctx, In: &BatchFilter{
@@ -75,14 +100,19 @@ func TestBatchPipelineMatchesRow(t *testing.T) {
 				Var: "x", Out: pred(tc.out)}}
 			got := collectBatches(t, bat)
 			if !value.Equal(got, want) {
-				t.Errorf("%s/size=%d: batch differs from row:\nwant %s\ngot  %s", tc.name, size, want, got)
+				t.Errorf("%s/size=%d: batch differs from the evaluator:\nwant %s\ngot  %s", tc.name, size, want, got)
+			}
+			if bctx.Ev.Steps != wantSteps {
+				t.Errorf("%s/size=%d: %d eval steps, the evaluator takes %d", tc.name, size, bctx.Ev.Steps, wantSteps)
 			}
 		}
 	}
 }
 
 // TestBatchHashJoinMatchesRow runs every flat join kind, with and without
-// residuals (compiled and generic), at every batch size.
+// residuals (compiled and generic), at every batch size, against the
+// nested-loop join over the full predicate; EvalSteps must not depend on
+// the batch size.
 func TestBatchHashJoinMatchesRow(t *testing.T) {
 	residuals := map[string]tmql.Expr{
 		"nil": nil,
@@ -96,13 +126,16 @@ func TestBatchHashJoinMatchesRow(t *testing.T) {
 		for rname, residual := range residuals {
 			for _, n := range []int{0, 7, 500} {
 				l, r := genRows(n, 13, "k", "v"), genRows(n/2, 7, "j", "w")
-				ctx := NewCtx(nil)
-				serial := &HashJoin{
-					Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-					LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-					Residual: residual, RElem: relem,
+				full := pred("x.k = y.j")
+				if residual != nil {
+					full = tmql.JoinAnd([]tmql.Expr{full, residual})
 				}
-				want := collect(t, serial)
+				nl := &NLJoin{
+					Ctx: NewCtx(nil), Kind: kind, L: rowScan(l), R: rowScan(r),
+					LVar: "x", RVar: "y", Pred: full, RElem: relem,
+				}
+				want := collect(t, nl)
+				var steps int64 = -1
 				for _, size := range batchSizes {
 					name := fmt.Sprintf("%s/%s/n=%d/size=%d", kind, rname, n, size)
 					bctx := NewCtx(nil)
@@ -114,32 +147,34 @@ func TestBatchHashJoinMatchesRow(t *testing.T) {
 					}
 					got := collectBatches(t, bj)
 					if !value.Equal(got, want) {
-						t.Errorf("%s: batch join differs from row:\nwant %s\ngot  %s", name, want, got)
+						t.Errorf("%s: batch join differs from the NL join:\nwant %s\ngot  %s", name, want, got)
 					}
+					if steps >= 0 && bctx.Ev.Steps != steps {
+						t.Errorf("%s: %d eval steps, size %d took %d", name, bctx.Ev.Steps, batchSizes[0], steps)
+					}
+					steps = bctx.Ev.Steps
 				}
 			}
 		}
 	}
 }
 
-// TestParHashJoinBatchedInputs feeds the exchange batched inputs directly
-// (BL/BR) and streams the output via NextBatch, asserting equality with the
-// serial row join.
+// TestParHashJoinBatchedInputs streams the partitioned join's output via
+// NextBatch at every batch size, asserting equality with the serial join.
 func TestParHashJoinBatchedInputs(t *testing.T) {
 	l, r := genRows(600, 13, "k", "v"), genRows(300, 7, "j", "w")
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	ctx := NewCtx(nil)
-	serial := &HashJoin{
-		Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+	serial := &BatchHashJoin{
+		Ctx: NewCtx(nil), Kind: algebra.JoinInner, L: scan(l), R: scan(r),
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 		RElem: relem,
 	}
-	want := collect(t, serial)
+	want := collectBatches(t, serial)
 	for _, size := range batchSizes {
 		for _, degree := range []int{2, 4} {
 			par := &ParHashJoin{
 				Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-				BL: &BatchSliceScan{Rows: l, Size: size}, BR: &BatchSliceScan{Rows: r, Size: size},
+				L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 				RElem: relem, Degree: degree, BatchSize: size,
 			}
@@ -156,8 +191,7 @@ func TestParHashJoinBatchedInputs(t *testing.T) {
 // whether it ran compiled or generic.
 func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
 	rows := []value.Value{tup("k", 1, "v", 2)}
-	rowIt := &Filter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.missing = 1")}
-	_, rowErr := Collect(rowIt)
+	_, rowErr := eval.New(nil).EvalEnv(pred("x.missing = 1"), env1("x", rows[0]))
 	batIt := &BatchFilter{Ctx: NewCtx(nil), In: &BatchSliceScan{Rows: rows}, Var: "x", Pred: pred("x.missing = 1")}
 	_, batErr := CollectBatches(batIt)
 	if rowErr == nil || batErr == nil {
@@ -169,7 +203,8 @@ func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
 }
 
 // TestBatchDistinctIdentity checks BatchDistinct's encoding-based dedup
-// agrees with the row Distinct's value.Key dedup on values of every kind.
+// agrees with value.Key identity on values of every kind, keeping the
+// first-seen row of each.
 func TestBatchDistinctIdentity(t *testing.T) {
 	rows := []value.Value{
 		value.Int(1), value.Float(1), // ints normalize to floats in both identities
@@ -177,25 +212,40 @@ func TestBatchDistinctIdentity(t *testing.T) {
 		tup("a", 1, "b", 2), tup("b", 2, "a", 1), // label-sorted: equal tuples
 		value.SetOf(value.Int(1), value.Int(2)), value.SetOf(value.Int(2), value.Int(1)),
 	}
-	want := collect(t, &Distinct{In: &SliceScan{Rows: rows}})
-	got := collectBatches(t, &BatchDistinct{Ctx: NewCtx(nil), In: &BatchSliceScan{Rows: rows, Size: 2}})
-	if !value.Equal(got, want) {
-		t.Errorf("distinct identity mismatch:\nwant %s\ngot  %s", want, got)
+	var want []value.Value
+	seen := map[string]bool{}
+	for _, v := range rows {
+		if k := value.Key(v); !seen[k] {
+			seen[k] = true
+			want = append(want, v)
+		}
+	}
+	got, err := DrainBatches(&BatchDistinct{Ctx: NewCtx(nil), In: &BatchSliceScan{Rows: rows, Size: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("distinct kept %d rows, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if value.Key(got[i]) != value.Key(want[i]) {
+			t.Errorf("row %d: got %s, want %s", i, got[i], want[i])
+		}
 	}
 }
 
-// TestSortBatchBuildMatchesRow drains Sort through its batch-native build at
-// every batch size and asserts the emitted sequence — not just the set — is
-// byte-identical to the row build's.
+// TestSortBatchBuildMatchesRow builds a sorted run at every batch size and
+// asserts the sequence — not just the set — is byte-identical to the
+// batch-1 (row-at-a-time) build's.
 func TestSortBatchBuildMatchesRow(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
 	keys := []tmql.Expr{pred("x.k")}
-	want, err := Drain(&Sort{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Keys: keys})
+	want, err := drainSortedBatches(NewCtx(nil), &BatchSliceScan{Rows: rows, Size: 1}, "x", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range batchSizes {
-		got, err := Drain(&Sort{Ctx: NewCtx(nil), BIn: &BatchSliceScan{Rows: rows, Size: size}, Var: "x", Keys: keys})
+		got, err := drainSortedBatches(NewCtx(nil), &BatchSliceScan{Rows: rows, Size: size}, "x", keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,22 +253,21 @@ func TestSortBatchBuildMatchesRow(t *testing.T) {
 			t.Fatalf("size=%d: %d rows out, want %d", size, len(got), len(want))
 		}
 		for i := range want {
-			if value.Key(got[i]) != value.Key(want[i]) {
-				t.Fatalf("size=%d: row %d differs from row build", size, i)
+			if value.Key(got[i].v) != value.Key(want[i].v) {
+				t.Fatalf("size=%d: row %d differs from the batch-1 build", size, i)
 			}
 		}
 	}
 }
 
-// TestSortBatchBuildBudget pins the batched sort build's governance: the
-// flat per-row build charge is still accounted (summed per batch), so a
-// build budget trips exactly as it does on the row path.
+// TestSortBatchBuildBudget pins the sorted-run build's governance: the flat
+// per-row build charge is accounted (summed per batch), so a build budget
+// trips.
 func TestSortBatchBuildBudget(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
 	gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
 	ctx := NewCtxGoverned(nil, gov)
-	s := &Sort{Ctx: ctx, BIn: &BatchSliceScan{Rows: rows, Size: 64}, Var: "x", Keys: []tmql.Expr{pred("x.k")}}
-	_, err := Drain(s)
+	_, err := drainSortedBatches(ctx, &BatchSliceScan{Rows: rows, Size: 64}, "x", []tmql.Expr{pred("x.k")})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "build_bytes" {
 		t.Fatalf("want build_bytes BudgetError, got %v", err)
@@ -226,25 +275,28 @@ func TestSortBatchBuildBudget(t *testing.T) {
 }
 
 // TestMergeNestJoinBatchedInputs builds the merge nest join's sorted runs
-// from batch inputs (BL/BR) at every batch size and asserts byte-identity
-// with the row-input build, with and without a residual.
+// at every batch size and asserts byte-identity with the nested-loop nest
+// join over the full predicate, with and without a residual.
 func TestMergeNestJoinBatchedInputs(t *testing.T) {
 	l, r := genRows(400, 13, "k", "v"), genRows(200, 7, "j", "w")
 	lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
 	for rname, residual := range map[string]tmql.Expr{"nil": nil, "residual": pred("x.v <= y.w")} {
-		want := collect(t, &MergeNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
-			Residual: residual, Fn: pred("y"), Label: "g",
+		full := pred("x.k = y.j")
+		if residual != nil {
+			full = tmql.JoinAnd([]tmql.Expr{full, residual})
+		}
+		want := collect(t, &NLNestJoin{
+			Ctx: NewCtx(nil), L: rowScan(l), R: rowScan(r),
+			LVar: "x", RVar: "y", Pred: full, Fn: pred("y"), Label: "g",
 		})
 		for _, size := range batchSizes {
 			got := collect(t, &MergeNestJoin{
-				Ctx: NewCtx(nil), BL: &BatchSliceScan{Rows: l, Size: size}, BR: &BatchSliceScan{Rows: r, Size: size},
+				Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
 				Residual: residual, Fn: pred("y"), Label: "g",
 			})
 			if value.Key(got) != value.Key(want) {
-				t.Errorf("%s/size=%d: batched merge nest join differs:\nwant %s\ngot  %s", rname, size, want, got)
+				t.Errorf("%s/size=%d: merge nest join differs from NL:\nwant %s\ngot  %s", rname, size, want, got)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func slowPoint(point string) func() {
 func TestParHashJoinCancellation(t *testing.T) {
 	l, r := genRows(2000, 13, "k", "v"), genRows(1000, 7, "j", "w")
 	serial, _ := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, nil, 0)
-	want := collect(t, serial).String()
+	want := collectBatches(t, serial).String()
 
 	phases := []struct{ name, point string }{
 		{"build", faultinject.PointHashBuild},
@@ -68,7 +68,7 @@ func TestParHashJoinCancellation(t *testing.T) {
 
 				done := make(chan error, 1)
 				go func() {
-					_, err := CollectGoverned(gov, par)
+					_, err := CollectBatchesGoverned(gov, par)
 					done <- err
 				}()
 				time.Sleep(20 * time.Millisecond)
@@ -85,7 +85,7 @@ func TestParHashJoinCancellation(t *testing.T) {
 				waitGoroutines(t, base)
 
 				_, rerun := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, nil, degree)
-				if got := collect(t, rerun).String(); got != want {
+				if got := collectBatches(t, rerun).String(); got != want {
 					t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
 				}
 			})
@@ -99,20 +99,20 @@ func TestParHashNestJoinCancellation(t *testing.T) {
 	l, r := genRows(2000, 17, "k", "v"), genRows(1000, 11, "j", "w")
 	lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
 	fn := pred("y")
-	mk := func(ctx *Ctx, degree int) Iterator {
+	mk := func(ctx *Ctx, degree int) BatchIterator {
 		if degree < 2 {
-			return &HashNestJoin{
-				Ctx: ctx, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			return &RowsToBatch{It: &HashNestJoin{
+				Ctx: ctx, L: rowScan(l), R: rowScan(r),
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
-			}
+			}}
 		}
 		return &ParHashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, L: scan(l), R: scan(r),
 			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
 			Degree: degree,
 		}
 	}
-	want := collect(t, mk(NewCtx(nil), 0)).String()
+	want := collectBatches(t, mk(NewCtx(nil), 0)).String()
 
 	phases := []struct{ name, point string }{
 		{"build", faultinject.PointHashBuild},
@@ -132,7 +132,7 @@ func TestParHashNestJoinCancellation(t *testing.T) {
 
 				done := make(chan error, 1)
 				go func() {
-					_, err := CollectGoverned(gov, mk(ctx, degree))
+					_, err := CollectBatchesGoverned(gov, mk(ctx, degree))
 					done <- err
 				}()
 				time.Sleep(20 * time.Millisecond)
@@ -148,7 +148,7 @@ func TestParHashNestJoinCancellation(t *testing.T) {
 				deactivate()
 				waitGoroutines(t, base)
 
-				if got := collect(t, mk(NewCtx(nil), degree)).String(); got != want {
+				if got := collectBatches(t, mk(NewCtx(nil), degree)).String(); got != want {
 					t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
 				}
 			})
@@ -157,7 +157,7 @@ func TestParHashNestJoinCancellation(t *testing.T) {
 }
 
 // TestGovernorBudgets pins the budget taxonomy at the exec layer: a row
-// budget trips in CollectGoverned, a build budget trips inside the hash
+// budget trips in CollectBatchesGoverned, a build budget trips inside the hash
 // build, and both surface as *BudgetError matching ErrBudgetExceeded.
 func TestGovernorBudgets(t *testing.T) {
 	l, r := genRows(500, 13, "k", "v"), genRows(300, 7, "j", "w")
@@ -165,7 +165,7 @@ func TestGovernorBudgets(t *testing.T) {
 	gov := NewGovernor(context.Background(), Limits{MaxRows: 5})
 	ctx := NewCtxGoverned(nil, gov)
 	rowsJoin, _ := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 0)
-	_, err := CollectGoverned(gov, rowsJoin)
+	_, err := CollectBatchesGoverned(gov, rowsJoin)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "rows" {
 		t.Fatalf("want rows BudgetError, got %v", err)
@@ -177,7 +177,7 @@ func TestGovernorBudgets(t *testing.T) {
 	gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
 	ctx = NewCtxGoverned(nil, gov)
 	serial, _ := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 0)
-	_, err = CollectGoverned(gov, serial)
+	_, err = CollectBatchesGoverned(gov, serial)
 	if !errors.As(err, &be) || be.Resource != "build_bytes" {
 		t.Fatalf("want build_bytes BudgetError, got %v", err)
 	}
@@ -185,7 +185,7 @@ func TestGovernorBudgets(t *testing.T) {
 	gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
 	ctx = NewCtxGoverned(nil, gov)
 	_, par8 := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 8)
-	if _, err = CollectGoverned(gov, par8); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err = CollectBatchesGoverned(gov, par8); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("parallel build must observe the shared build budget, got %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestSchedulerPanicPropagates(t *testing.T) {
 		}()
 		ctx := NewCtx(nil)
 		_, par := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 4)
-		_, _ = Collect(par)
+		_, _ = CollectBatches(par)
 	}()
 	deactivate()
 	waitGoroutines(t, base)

@@ -37,19 +37,31 @@ func (f *failingIter) Close() error { return nil }
 
 func TestErrorPropagation(t *testing.T) {
 	ctx := NewCtx(nil)
+	failing := func(f *failingIter) BatchIterator { return &RowsToBatch{It: f} }
+	batchIters := []BatchIterator{
+		&BatchFilter{Ctx: ctx, In: failing(&failingIter{failOpen: true}), Var: "x", Pred: pred("TRUE")},
+		&BatchMap{Ctx: ctx, In: failing(&failingIter{n: 1}), Var: "x", Out: pred("x.k")},
+		&BatchDistinct{Ctx: ctx, In: failing(&failingIter{n: 1})},
+		&BatchHashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: scan(nil), R: failing(&failingIter{n: 1}),
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}},
+	}
+	for _, it := range batchIters {
+		if _, err := CollectBatches(it); err == nil {
+			t.Errorf("%T should surface input errors", it)
+		}
+	}
 	iters := []Iterator{
-		&Filter{Ctx: ctx, In: &failingIter{failOpen: true}, Var: "x", Pred: pred("TRUE")},
-		&MapIter{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
-		&Sort{Ctx: ctx, In: &failingIter{n: 2}, Var: "x", Keys: []tmql.Expr{pred("x.k")}},
-		&Distinct{In: &failingIter{n: 1}},
-		&NLJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
+		&MergeNestJoin{Ctx: ctx, L: failing(&failingIter{n: 2}), R: scan(nil),
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
+			Fn: pred("y"), Label: "s"},
+		&NLJoin{Ctx: ctx, Kind: algebra.JoinInner, L: rowScan(nil), R: &failingIter{failOpen: true},
 			LVar: "x", RVar: "y", Pred: pred("TRUE")},
-		&HashNestJoin{Ctx: ctx, L: &SliceScan{}, R: &failingIter{n: 1},
+		&HashNestJoin{Ctx: ctx, L: rowScan(nil), R: &failingIter{n: 1},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
 			Fn: pred("y"), Label: "s"},
 		&NestIter{In: &failingIter{n: 2}, Attrs: []string{"k"}, Label: "s"},
 		&UnnestIter{In: &failingIter{n: 1}, Attr: "k"},
-		&SetOpIter{Kind: 0, L: &SliceScan{}, R: &failingIter{n: 1}},
+		&SetOpIter{Kind: 0, L: rowScan(nil), R: &failingIter{n: 1}},
 	}
 	for _, it := range iters {
 		if _, err := Collect(it); err == nil {
@@ -62,13 +74,13 @@ func TestPredicateTypeErrors(t *testing.T) {
 	ctx := NewCtx(nil)
 	rows := []value.Value{tup("k", 1)}
 	// Predicate yields a non-boolean.
-	f := &Filter{Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.k + 1")}
-	if _, err := Collect(f); err == nil || !strings.Contains(err.Error(), "not BOOL") {
+	f := &BatchFilter{Ctx: ctx, In: scan(rows), Var: "x", Pred: pred("x.k + 1")}
+	if _, err := CollectBatches(f); err == nil || !strings.Contains(err.Error(), "not BOOL") {
 		t.Errorf("non-boolean predicate: %v", err)
 	}
 	// Predicate references missing field.
-	f2 := &Filter{Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.nosuch = 1")}
-	if _, err := Collect(f2); err == nil {
+	f2 := &BatchFilter{Ctx: ctx, In: scan(rows), Var: "x", Pred: pred("x.nosuch = 1")}
+	if _, err := CollectBatches(f2); err == nil {
 		t.Error("missing field should error at evaluation")
 	}
 }
@@ -80,7 +92,7 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 
 	// Empty right side.
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
-		nl := &NLJoin{Ctx: ctx, Kind: kind, L: &SliceScan{Rows: rows}, R: &SliceScan{},
+		nl := &NLJoin{Ctx: ctx, Kind: kind, L: rowScan(rows), R: rowScan(nil),
 			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), RElem: yElem}
 		got := collect(t, nl)
 		switch kind {
@@ -100,9 +112,9 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 	}
 
 	// Empty left side: everything empty.
-	hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &SliceScan{Rows: rows},
+	hj := &BatchHashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: scan(nil), R: scan(rows),
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}}
-	if got := collect(t, hj); got.Len() != 0 {
+	if got := collectBatches(t, hj); got.Len() != 0 {
 		t.Errorf("hash join on empty left: %s", got)
 	}
 
@@ -134,7 +146,7 @@ func TestMergeNestJoinDuplicateKeys(t *testing.T) {
 	}
 	ys = append(ys, tup("a", 99, "b", 2))
 	mj := &MergeNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
+		Ctx: NewCtx(nil), L: scan(xs), R: scan(ys),
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "s",
@@ -156,7 +168,7 @@ func TestNestJoinDuplicateFnImages(t *testing.T) {
 	xs := []value.Value{tup("e", 1, "d", 1)}
 	ys := []value.Value{tup("a", 5, "b", 1), tup("a", 5, "b", 1), tup("a", 6, "b", 1)}
 	nj := &NLNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
+		Ctx: NewCtx(nil), L: rowScan(xs), R: rowScan(ys),
 		LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y.a"), Label: "s",
 	}
 	got := collect(t, nj)
@@ -167,39 +179,39 @@ func TestNestJoinDuplicateFnImages(t *testing.T) {
 
 func TestUnnestErrors(t *testing.T) {
 	// Attribute missing.
-	u := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("k", 1)}}, Attr: "zs"}
+	u := &UnnestIter{In: rowScan([]value.Value{tup("k", 1)}), Attr: "zs"}
 	if _, err := Collect(u); err == nil {
 		t.Error("missing attribute should error")
 	}
 	// Attribute not a set.
-	u2 := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("zs", 1)}}, Attr: "zs"}
+	u2 := &UnnestIter{In: rowScan([]value.Value{tup("zs", 1)}), Attr: "zs"}
 	if _, err := Collect(u2); err == nil {
 		t.Error("non-set attribute should error")
 	}
 	// Non-tuple element without Scalar.
-	u3 := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("zs", ints(1, 2))}}, Attr: "zs"}
+	u3 := &UnnestIter{In: rowScan([]value.Value{tup("zs", ints(1, 2))}), Attr: "zs"}
 	if _, err := Collect(u3); err == nil {
 		t.Error("scalar elements need Scalar=true")
 	}
 }
 
 func TestNestOverNonTuple(t *testing.T) {
-	n := &NestIter{In: &SliceScan{Rows: []value.Value{value.Int(1)}}, Attrs: []string{"a"}, Label: "s"}
+	n := &NestIter{In: rowScan([]value.Value{value.Int(1)}), Attrs: []string{"a"}, Label: "s"}
 	if _, err := Collect(n); err == nil {
 		t.Error("nest over scalars should error")
 	}
 }
 
 func TestOuterJoinWithoutRElem(t *testing.T) {
-	nl := &NLJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &SliceScan{}, R: &SliceScan{},
+	nl := &NLJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: rowScan(nil), R: rowScan(nil),
 		LVar: "x", RVar: "y", Pred: pred("TRUE")}
 	if err := nl.Open(); err == nil {
 		t.Error("outer NLJoin without RElem should fail to open")
 	}
-	hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &SliceScan{}, R: &SliceScan{},
+	hj := &BatchHashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: scan(nil), R: scan(nil),
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}}
 	if err := hj.Open(); err == nil {
-		t.Error("outer HashJoin without RElem should fail to open")
+		t.Error("outer BatchHashJoin without RElem should fail to open")
 	}
 }
 
@@ -214,16 +226,16 @@ func TestSemiJoinEarlyOutProbesLess(t *testing.T) {
 		ys = append(ys, tup("a", i, "b", 1))
 	}
 	ctxSemi := NewCtx(nil)
-	semi := &HashJoin{Ctx: ctxSemi, Kind: algebra.JoinSemi,
-		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
+	semi := &BatchHashJoin{Ctx: ctxSemi, Kind: algebra.JoinSemi,
+		L: scan(xs), R: scan(ys), LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Residual: pred("y.a >= 0")}
-	if _, err := Collect(semi); err != nil {
+	if _, err := CollectBatches(semi); err != nil {
 		t.Fatal(err)
 	}
 	ctxNest := NewCtx(nil)
 	nest := &HashNestJoin{Ctx: ctxNest,
-		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
+		L: rowScan(xs), R: rowScan(ys), LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Residual: pred("y.a >= 0"), Fn: pred("y.a"), Label: "s"}
 	if _, err := Collect(nest); err != nil {

@@ -64,6 +64,12 @@ func collect(t *testing.T, it Iterator) value.Value {
 	return v
 }
 
+// scan feeds rows to a batch operator; rowScan feeds them to a cold row
+// operator through the BatchToRows adapter, as compiled plans do.
+func scan(rows []value.Value) BatchIterator { return &BatchSliceScan{Rows: rows} }
+
+func rowScan(rows []value.Value) Iterator { return &BatchToRows{In: scan(rows)} }
+
 // table1Want is the expected nest equijoin of Table 1.
 func table1Want() value.Value {
 	return value.SetOf(
@@ -78,15 +84,15 @@ func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]Iterator {
 	keysR := []tmql.Expr{pred("y.b")}
 	return map[string]Iterator{
 		"nl": &NLNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: ctx, L: rowScan(x), R: rowScan(y),
 			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
 		},
 		"hash": &HashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: ctx, L: rowScan(x), R: rowScan(y),
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
 		"merge": &MergeNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: ctx, L: scan(x), R: scan(y),
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
 	}
@@ -109,7 +115,7 @@ func TestNestJoinFunctionProjection(t *testing.T) {
 	// Fn projects y.a — the §8 step (1) shape.
 	x, y := xyRows()
 	it := &HashNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		Ctx: NewCtx(nil), L: rowScan(x), R: rowScan(y),
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "zs",
@@ -130,19 +136,19 @@ func TestNestJoinResidualPredicate(t *testing.T) {
 	x, y := xyRows()
 	for _, impl := range []Iterator{
 		&HashNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: NewCtx(nil), L: rowScan(x), R: rowScan(y),
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
 		},
 		&MergeNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: NewCtx(nil), L: scan(x), R: scan(y),
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
 		},
 		&NLNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: NewCtx(nil), L: rowScan(x), R: rowScan(y),
 			LVar: "x", RVar: "y", Pred: pred("x.d = y.b AND y.a > 1"),
 			Fn: pred("y.a"), Label: "zs",
 		},
@@ -186,20 +192,20 @@ func TestFlatJoins(t *testing.T) {
 	yElem := yElemType()
 	for _, c := range cases {
 		nl := &NLJoin{
-			Ctx: NewCtx(nil), Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: NewCtx(nil), Kind: c.kind, L: rowScan(x), R: rowScan(y),
 			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), RElem: yElem,
 		}
 		if got := collect(t, nl); !value.Equal(got, c.want) {
 			t.Errorf("NLJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
-		hj := &HashJoin{
-			Ctx: NewCtx(nil), Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		hj := &BatchHashJoin{
+			Ctx: NewCtx(nil), Kind: c.kind, L: scan(x), R: scan(y),
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			RElem: yElem,
 		}
-		if got := collect(t, hj); !value.Equal(got, c.want) {
-			t.Errorf("HashJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
+		if got := collectBatches(t, hj); !value.Equal(got, c.want) {
+			t.Errorf("BatchHashJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
 	}
 }
@@ -215,32 +221,32 @@ func wrapType() *types.Type {
 func TestFilterMapDistinct(t *testing.T) {
 	x, _ := xyRows()
 	ctx := NewCtx(nil)
-	f := &Filter{Ctx: ctx, In: &SliceScan{Rows: x}, Var: "x", Pred: pred("x.e > 1")}
-	if got := collect(t, f); got.Len() != 2 {
+	f := &BatchFilter{Ctx: ctx, In: scan(x), Var: "x", Pred: pred("x.e > 1")}
+	if got := collectBatches(t, f); got.Len() != 2 {
 		t.Errorf("Filter: %s", got)
 	}
-	m := &MapIter{Ctx: ctx, In: &SliceScan{Rows: x}, Var: "x", Out: pred("x.e + 10")}
-	if got := collect(t, m); !value.Equal(got, ints(11, 12, 13)) {
+	m := &BatchMap{Ctx: ctx, In: scan(x), Var: "x", Out: pred("x.e + 10")}
+	if got := collectBatches(t, m); !value.Equal(got, ints(11, 12, 13)) {
 		t.Errorf("Map: %s", got)
 	}
 	dup := []value.Value{value.Int(1), value.Int(1), value.Int(2)}
-	d := &Distinct{In: &SliceScan{Rows: dup}}
-	rows, err := Drain(d)
+	d := &BatchDistinct{Ctx: ctx, In: scan(dup)}
+	rows, err := DrainBatches(d)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("Distinct: %v %v", rows, err)
 	}
 }
 
+// TestSortIter checks the merge nest join's sorted-run build orders rows by
+// the key expressions (here descending via key -x.e).
 func TestSortIter(t *testing.T) {
 	x, _ := xyRows()
-	// Sort descending via key -x.e.
-	s := &Sort{Ctx: NewCtx(nil), In: &SliceScan{Rows: x}, Var: "x", Keys: []tmql.Expr{pred("-x.e")}}
-	rows, err := Drain(s)
+	rows, err := drainSortedBatches(NewCtx(nil), scan(x), "x", []tmql.Expr{pred("-x.e")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || rows[0].MustGet("e").AsInt() != 3 {
-		t.Errorf("Sort: %v", rows)
+	if len(rows) != 3 || rows[0].v.MustGet("e").AsInt() != 3 {
+		t.Errorf("sorted run: %v", rows)
 	}
 }
 
@@ -250,7 +256,7 @@ func TestNestAndNestStar(t *testing.T) {
 		tup("g", 1, "a", 20),
 		tup("g", 2, "a", 30),
 	}
-	n := &NestIter{In: &SliceScan{Rows: rows}, Attrs: []string{"a"}, Label: "as"}
+	n := &NestIter{In: rowScan(rows), Attrs: []string{"a"}, Label: "as"}
 	got := collect(t, n)
 	want := value.SetOf(
 		tup("g", 1, "as", value.SetOf(tup("a", 10), tup("a", 20))),
@@ -265,7 +271,7 @@ func TestNestAndNestStar(t *testing.T) {
 		tup("g", 1, "a", value.Null),
 		tup("g", 2, "a", 30),
 	}
-	ns := &NestIter{In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as", NullAware: true}
+	ns := &NestIter{In: rowScan(rowsNull), Attrs: []string{"a"}, Label: "as", NullAware: true}
 	got = collect(t, ns)
 	want = value.SetOf(
 		tup("g", 1, "as", value.EmptySet),
@@ -274,7 +280,7 @@ func TestNestAndNestStar(t *testing.T) {
 	if !value.Equal(got, want) {
 		t.Errorf("Nest*: got %s want %s", got, want)
 	}
-	nv := &NestIter{In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as"}
+	nv := &NestIter{In: rowScan(rowsNull), Attrs: []string{"a"}, Label: "as"}
 	got = collect(t, nv)
 	if value.Equal(got, want) {
 		t.Error("plain ν should keep the NULL tuple, differing from ν*")
@@ -286,7 +292,7 @@ func TestUnnestIter(t *testing.T) {
 		tup("g", 1, "as", value.SetOf(tup("a", 10), tup("a", 20))),
 		tup("g", 2, "as", value.EmptySet), // dangling: vanishes under μ
 	}
-	u := &UnnestIter{In: &SliceScan{Rows: rows}, Attr: "as"}
+	u := &UnnestIter{In: rowScan(rows), Attr: "as"}
 	got := collect(t, u)
 	want := value.SetOf(tup("g", 1, "a", 10), tup("g", 1, "a", 20))
 	if !value.Equal(got, want) {
@@ -295,7 +301,7 @@ func TestUnnestIter(t *testing.T) {
 
 	// Scalar elements keep the attribute label.
 	rows2 := []value.Value{tup("g", 1, "vs", ints(7, 8))}
-	u2 := &UnnestIter{In: &SliceScan{Rows: rows2}, Attr: "vs", Scalar: true}
+	u2 := &UnnestIter{In: rowScan(rows2), Attr: "vs", Scalar: true}
 	got = collect(t, u2)
 	want = value.SetOf(tup("g", 1, "vs", 7), tup("g", 1, "vs", 8))
 	if !value.Equal(got, want) {
@@ -312,7 +318,7 @@ func TestNestJoinEqualsOuterJoinNestStar(t *testing.T) {
 
 	// Left: nest join (identity function, wrapped right rows to mirror).
 	nj := &NLNestJoin{
-		Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		Ctx: ctx, L: rowScan(x), R: rowScan(y),
 		LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
 	}
 	njOut := collect(t, nj)
@@ -325,14 +331,14 @@ func TestNestJoinEqualsOuterJoinNestStar(t *testing.T) {
 	}
 	oj := &NLJoin{
 		Ctx: ctx, Kind: algebra.JoinLeftOuter,
-		L: &SliceScan{Rows: x}, R: &SliceScan{Rows: wrapped},
+		L: rowScan(x), R: rowScan(wrapped),
 		LVar: "x", RVar: "y", Pred: pred("x.d = y.w.b"), RElem: wrapType(),
 	}
 	rows, err := Drain(oj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := &NestIter{In: &SliceScan{Rows: rows}, Attrs: []string{"w"}, Label: "s", NullAware: true}
+	ns := &NestIter{In: rowScan(rows), Attrs: []string{"w"}, Label: "s", NullAware: true}
 	nsRows, err := Drain(ns)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +371,7 @@ func TestSetOpIter(t *testing.T) {
 		{2, ints(1, 3)},
 	}
 	for _, c := range cases {
-		it := &SetOpIter{Kind: c.kind, L: &SliceScan{Rows: a}, R: &SliceScan{Rows: b}}
+		it := &SetOpIter{Kind: c.kind, L: rowScan(a), R: rowScan(b)}
 		if got := collect(t, it); !value.Equal(got, c.want) {
 			t.Errorf("SetOp %d: got %s want %s", c.kind, got, c.want)
 		}
@@ -387,26 +393,26 @@ func TestEvalScan(t *testing.T) {
 func TestTableScanUnknown(t *testing.T) {
 	_, db := datagen.Table1()
 	ctx := NewCtx(db)
-	ts := &TableScan{Ctx: ctx, Table: "NOPE"}
+	ts := &BatchTableScan{Ctx: ctx, Table: "NOPE"}
 	if err := ts.Open(); err == nil {
 		t.Error("unknown table should fail")
 	}
-	ok := &TableScan{Ctx: ctx, Table: "X"}
-	if got := collect(t, ok); got.Len() != 3 {
+	ok := &BatchTableScan{Ctx: ctx, Table: "X"}
+	if got := collectBatches(t, ok); got.Len() != 3 {
 		t.Errorf("X scan: %s", got)
 	}
 }
 
 func TestHashJoinKeyValidation(t *testing.T) {
-	hj := &HashJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
+	hj := &BatchHashJoin{Ctx: NewCtx(nil), L: scan(nil), R: scan(nil), LVar: "x", RVar: "y"}
 	if err := hj.Open(); err == nil {
-		t.Error("HashJoin without keys should fail to open")
+		t.Error("BatchHashJoin without keys should fail to open")
 	}
-	hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
+	hnj := &HashNestJoin{Ctx: NewCtx(nil), L: rowScan(nil), R: rowScan(nil), LVar: "x", RVar: "y"}
 	if err := hnj.Open(); err == nil {
 		t.Error("HashNestJoin without keys should fail to open")
 	}
-	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
+	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: scan(nil), R: scan(nil), LVar: "x", RVar: "y"}
 	if err := mnj.Open(); err == nil {
 		t.Error("MergeNestJoin without keys should fail to open")
 	}

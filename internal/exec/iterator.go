@@ -1,29 +1,32 @@
 // Package exec implements the physical operators executing the algebra of
-// internal/algebra: Volcano-style iterators for scan, filter, map, sort,
-// distinct, set operations, the flat join family (nested-loop, hash, and
-// sort-merge variants; inner, semi, anti, and left-outer), the restructuring
-// operators ν / ν* / μ, and three implementations of the paper's nest join
-// (nested-loop, hash, sort-merge).
+// internal/algebra. Plans run under one protocol: batch iterators
+// (BatchIterator, see batch.go) move up to a batch size of rows per call
+// through scans, selections, maps, distinct, the hash join family, and the
+// partitioned hash joins on the morsel scheduler. Cold operators — the
+// restructuring operators ν / ν* / μ, set operations, nested-loop and index
+// joins, index scans, the serial hash nest join and the merge nest join's
+// output — are single row iterators (Iterator) behind the RowsToBatch and
+// BatchToRows adapters. Batch size 1 is the row-at-a-time ablation.
 //
-// As §6 ("Implementation") prescribes, the nest join implementations are
-// simple modifications of the corresponding join methods with two
-// restrictions honored: an output tuple is emitted only after the entire
-// matching group is known, and the build/inner side must be the right
-// operand so output stays grouped by left tuples.
+// The paper's nest join has three implementations (nested-loop, hash,
+// sort-merge, plus the partitioned hash form). As §6 ("Implementation")
+// prescribes, they are simple modifications of the corresponding join
+// methods with two restrictions honored: an output tuple is emitted only
+// after the entire matching group is known, and the build/inner side must
+// be the right operand so output stays grouped by left tuples.
 package exec
 
 import (
 	"fmt"
 
 	"tmdb/internal/eval"
-	"tmdb/internal/faultinject"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// Iterator is the Volcano operator interface. Usage: Open, repeated Next
-// until ok=false, Close. Iterators are single-use.
+// Iterator is the row operator interface of the cold operators. Usage: Open,
+// repeated Next until ok=false, Close. Iterators are single-use.
 type Iterator interface {
 	Open() error
 	Next() (v value.Value, ok bool, err error)
@@ -88,45 +91,9 @@ func (c *Ctx) evalPred(e tmql.Expr, env *eval.Env) (bool, error) {
 	return v.AsBool(), nil
 }
 
-// Collect drains an iterator into a canonical set value.
+// Collect drains a row iterator into a canonical set value.
 func Collect(it Iterator) (value.Value, error) {
-	return CollectGoverned(nil, it)
-}
-
-// CollectGoverned is Collect under a governor: every row added to the result
-// set is accounted against the row budget (pre-deduplication — the budget
-// bounds produced work, not distinct output), and the cancel state is polled
-// between rows so plans of cheap streaming operators still cancel promptly.
-// A nil governor makes it plain Collect.
-func CollectGoverned(gov *Governor, it Iterator) (value.Value, error) {
-	if err := it.Open(); err != nil {
-		return value.Value{}, err
-	}
-	defer it.Close()
-	b := value.NewSetBuilder(0)
-	var ticks uint32
-	for {
-		v, ok, err := it.Next()
-		if err != nil {
-			return value.Value{}, err
-		}
-		if !ok {
-			break
-		}
-		if gov != nil {
-			if err := gov.AddRows(1); err != nil {
-				return value.Value{}, err
-			}
-			ticks++
-			if ticks&(checkEvery-1) == 0 {
-				if err := gov.Err(); err != nil {
-					return value.Value{}, err
-				}
-			}
-		}
-		b.Add(v)
-	}
-	return b.Build(), nil
+	return CollectBatches(&RowsToBatch{It: it})
 }
 
 // Drain drains an iterator into a slice preserving arrival order (duplicates
@@ -148,69 +115,6 @@ func Drain(it Iterator) ([]value.Value, error) {
 		out = append(out, v)
 	}
 }
-
-// --- Leaf iterators ---
-
-// TableScan reads a stored table.
-type TableScan struct {
-	Ctx   *Ctx
-	Table string
-	rows  []value.Value
-	i     int
-}
-
-// Open resolves the table.
-func (s *TableScan) Open() error {
-	t, ok := s.Ctx.DB.Table(s.Table)
-	if !ok {
-		return fmt.Errorf("exec: unknown table %s", s.Table)
-	}
-	s.rows = t.Rows()
-	s.i = 0
-	return nil
-}
-
-// Next returns the next row.
-func (s *TableScan) Next() (value.Value, bool, error) {
-	if s.i >= len(s.rows) {
-		return value.Value{}, false, nil
-	}
-	if err := s.Ctx.check(); err != nil {
-		return value.Value{}, false, err
-	}
-	if err := faultinject.Hit(faultinject.PointScan); err != nil {
-		return value.Value{}, false, err
-	}
-	v := s.rows[s.i]
-	s.i++
-	return v, true, nil
-}
-
-// Close releases the row slice.
-func (s *TableScan) Close() error { s.rows = nil; return nil }
-
-// SliceScan iterates a fixed slice; used by tests and by operators that
-// materialize intermediate results.
-type SliceScan struct {
-	Rows []value.Value
-	i    int
-}
-
-// Open resets the cursor.
-func (s *SliceScan) Open() error { s.i = 0; return nil }
-
-// Next returns the next element.
-func (s *SliceScan) Next() (value.Value, bool, error) {
-	if s.i >= len(s.Rows) {
-		return value.Value{}, false, nil
-	}
-	v := s.Rows[s.i]
-	s.i++
-	return v, true, nil
-}
-
-// Close is a no-op.
-func (s *SliceScan) Close() error { return nil }
 
 // EvalScan evaluates a closed set-typed TM expression with the naive
 // evaluator and iterates its elements — the physical form of algebra.EvalNode.

@@ -3,161 +3,10 @@ package exec
 import (
 	"fmt"
 
-	"tmdb/internal/algebra"
 	"tmdb/internal/faultinject"
 	"tmdb/internal/tmql"
-	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
-
-// HashJoin is the hash implementation of the flat join family on equi-keys.
-// The right input is always the build side; the left streams and probes. A
-// residual predicate (the non-equi remainder of the join condition) is
-// re-checked against each bucket candidate.
-//
-// For the regular join one would pick the smaller operand to build; the
-// interface fixes build = right because the planner shares this operator
-// shape with the nest join, where §6 requires the right operand to be the
-// build table whenever the key is not unique on the right.
-//
-// Keys take the allocation-lean path: encodings are appended onto a reusable
-// scratch buffer and the table is probed via string(buf) (no allocation), so
-// the probe side allocates nothing per row beyond the emitted tuples.
-type HashJoin struct {
-	Ctx        *Ctx
-	Kind       algebra.JoinKind
-	L, R       Iterator
-	LVar, RVar string
-	// LKeys/RKeys are the equi-key expressions over LVar and RVar; the i-th
-	// left key matches the i-th right key.
-	LKeys, RKeys []tmql.Expr
-	// Residual is the remaining predicate (may be nil).
-	Residual tmql.Expr
-	// RElem is required for the outer join's NULL padding.
-	RElem *types.Type
-
-	table   *hashTable
-	scratch []byte
-	cur     value.Value
-	bucket  []value.Value
-	bi      int
-	matched bool
-	state   nlState
-	pad     value.Value
-}
-
-// Open drains the right input into the hash table and opens the left.
-func (j *HashJoin) Open() error {
-	if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
-		return fmt.Errorf("exec: HashJoin needs matching non-empty key lists")
-	}
-	rows, err := Drain(j.R)
-	if err != nil {
-		return err
-	}
-	j.table = newHashTable(len(rows))
-	for _, r := range rows {
-		if err := buildCheck(j.Ctx); err != nil {
-			return err
-		}
-		buf, err := appendRowKey(j.Ctx, j.RKeys, j.RVar, r, j.scratch[:0])
-		if err != nil {
-			return err
-		}
-		if err := j.Ctx.addBuild(len(buf)); err != nil {
-			return err
-		}
-		j.scratch = buf[:0]
-		j.table.add(buf, r)
-	}
-	if j.Kind == algebra.JoinLeftOuter {
-		if j.RElem == nil {
-			return fmt.Errorf("exec: outer HashJoin needs RElem for NULL padding")
-		}
-		j.pad = nullTuple(j.RElem)
-	}
-	j.state = nlNeedLeft
-	return j.L.Open()
-}
-
-// Next produces the next output tuple.
-func (j *HashJoin) Next() (value.Value, bool, error) {
-	for {
-		switch j.state {
-		case nlDone:
-			return value.Value{}, false, nil
-		case nlNeedLeft:
-			l, ok, err := j.L.Next()
-			if err != nil {
-				return value.Value{}, false, err
-			}
-			if !ok {
-				j.state = nlDone
-				return value.Value{}, false, nil
-			}
-			if err := probeCheck(j.Ctx); err != nil {
-				return value.Value{}, false, err
-			}
-			j.cur = l
-			buf, err := appendRowKey(j.Ctx, j.LKeys, j.LVar, l, j.scratch[:0])
-			if err != nil {
-				return value.Value{}, false, err
-			}
-			j.scratch = buf[:0]
-			j.bucket = j.table.bucket(buf)
-			j.bi = 0
-			j.matched = false
-			switch j.Kind {
-			case algebra.JoinSemi, algebra.JoinAnti:
-				m, err := j.probeAny()
-				if err != nil {
-					return value.Value{}, false, err
-				}
-				if m == (j.Kind == algebra.JoinSemi) {
-					return j.cur, true, nil
-				}
-				continue
-			default:
-				j.state = nlScanRight
-			}
-		case nlScanRight:
-			for j.bi < len(j.bucket) {
-				r := j.bucket[j.bi]
-				j.bi++
-				if j.Residual != nil {
-					ok, err := j.Ctx.evalPred(j.Residual, env2(j.LVar, j.cur, j.RVar, r))
-					if err != nil {
-						return value.Value{}, false, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				j.matched = true
-				return j.cur.Concat(r), true, nil
-			}
-			j.state = nlNeedLeft
-			if j.Kind == algebra.JoinLeftOuter && !j.matched {
-				return j.cur.Concat(j.pad), true, nil
-			}
-		}
-	}
-}
-
-// probeAny reports whether any bucket candidate passes the residual —
-// the semijoin's early-out probe that never builds a group, the efficiency
-// edge §8 exploits when grouping is provably unnecessary. With no residual
-// the bucket membership already answers it, with no per-row predicate calls.
-func (j *HashJoin) probeAny() (bool, error) {
-	return probeAnyBucket(j.Ctx, j.cur, j.bucket, j.LVar, j.RVar, j.Residual)
-}
-
-// Close releases the hash table and closes the left input.
-func (j *HashJoin) Close() error {
-	j.table = nil
-	j.bucket = nil
-	return j.L.Close()
-}
 
 // HashNestJoin is the hash implementation of the nest join. The right
 // operand is the build table (§6's restriction: output must stay grouped by

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 
+	"tmdb/internal/faultinject"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
@@ -14,16 +16,13 @@ import (
 // once with its full group.
 //
 // Only the nest-join variant of the merge join is provided: the inner merge
-// join is subsumed by HashJoin/NLJoin in the planner, while the merge *nest*
-// join exists to demonstrate §6's point that any common join method adapts.
+// join is subsumed by BatchHashJoin/NLJoin in the planner, while the merge
+// *nest* join exists to demonstrate §6's point that any common join method
+// adapts. Its sorted runs are built batch-at-a-time; its output is a row
+// iterator.
 type MergeNestJoin struct {
-	Ctx *Ctx
-	// L/R are the row inputs; BL/BR, when set, replace them with batch-native
-	// inputs whose sorted runs are built batch-at-a-time (per-batch
-	// governance, no row-adapter hop). Either form feeds the same comparator,
-	// so the runs — and the join output — are byte-identical.
-	L, R         Iterator
-	BL, BR       BatchIterator
+	Ctx          *Ctx
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
@@ -42,44 +41,14 @@ func (j *MergeNestJoin) Open() error {
 		return fmt.Errorf("exec: MergeNestJoin needs matching non-empty key lists")
 	}
 	var err error
-	if j.BL != nil {
-		j.left, err = drainSortedBatches(j.Ctx, j.BL, j.LVar, j.LKeys)
-	} else {
-		j.left, err = drainSorted(j.Ctx, j.L, j.LVar, j.LKeys)
-	}
-	if err != nil {
+	if j.left, err = drainSortedBatches(j.Ctx, j.L, j.LVar, j.LKeys); err != nil {
 		return err
 	}
-	if j.BR != nil {
-		j.right, err = drainSortedBatches(j.Ctx, j.BR, j.RVar, j.RKeys)
-	} else {
-		j.right, err = drainSorted(j.Ctx, j.R, j.RVar, j.RKeys)
-	}
-	if err != nil {
+	if j.right, err = drainSortedBatches(j.Ctx, j.R, j.RVar, j.RKeys); err != nil {
 		return err
 	}
 	j.li, j.rlo = 0, 0
 	return nil
-}
-
-func drainSorted(c *Ctx, in Iterator, varName string, keys []tmql.Expr) ([]sortedRow, error) {
-	rows, err := Drain(in)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sortedRow, len(rows))
-	for i, v := range rows {
-		if err := sortBuildCheck(c); err != nil {
-			return nil, err
-		}
-		k, err := evalKey(c, keys, varName, v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sortedRow{key: k, v: v}
-	}
-	sortRowsStable(out)
-	return out, nil
 }
 
 // Next emits the next left element with its group.
@@ -121,4 +90,87 @@ func (j *MergeNestJoin) Next() (value.Value, bool, error) {
 func (j *MergeNestJoin) Close() error {
 	j.left, j.right = nil, nil
 	return nil
+}
+
+// sortedRow is one element of a sorted run, with its evaluated key.
+type sortedRow struct {
+	key value.Value // tuple of key values (label-free list encoded as a list value)
+	v   value.Value
+}
+
+// sortBuildCheckBatch is the governance + fault-injection + budget gate of
+// the sorted-run build: one governor poll and one fault point per batch.
+// Sorted rows carry no pre-encoded key, so the build budget charges the flat
+// per-row overhead for all n rows in one call.
+func sortBuildCheckBatch(c *Ctx, n int) error {
+	if err := c.checkBatch(); err != nil {
+		return err
+	}
+	if err := faultinject.Hit(faultinject.PointSortBuild); err != nil {
+		return err
+	}
+	if c.Gov == nil {
+		return nil
+	}
+	return c.Gov.AddBuildBytes(int64(n) * buildRowOverhead)
+}
+
+// sortRowsStable orders a sorted-run build by the canonical key order, ties
+// broken by the full element, making the order total and deterministic.
+func sortRowsStable(rows []sortedRow) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		if c := value.Compare(rows[i].key, rows[j].key); c != 0 {
+			return c < 0
+		}
+		return value.Less(rows[i].v, rows[j].v)
+	})
+}
+
+// drainSortedBatches drains a batch input into one sorted run. Retaining a
+// row out of a batch is a struct copy (value.Value is immutable; only the
+// batch's backing slice is reused), so the per-row work left is key
+// evaluation.
+func drainSortedBatches(c *Ctx, in BatchIterator, varName string, keys []tmql.Expr) ([]sortedRow, error) {
+	if err := in.Open(); err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	var out []sortedRow
+	for {
+		bt, ok, err := in.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if err := sortBuildCheckBatch(c, len(bt.Rows)); err != nil {
+			return nil, err
+		}
+		for _, v := range bt.Rows {
+			k, err := evalKey(c, keys, varName, v)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sortedRow{key: k, v: v})
+		}
+	}
+	sortRowsStable(out)
+	return out, nil
+}
+
+// evalKey evaluates the key expressions for element v bound to varName and
+// packs them into one list value (lists compare lexicographically, which is
+// exactly the composite-key order the merge joins need).
+func evalKey(c *Ctx, keys []tmql.Expr, varName string, v value.Value) (value.Value, error) {
+	env := env1(varName, v)
+	ks := make([]value.Value, len(keys))
+	for i, k := range keys {
+		kv, err := c.evalIn(k, env)
+		if err != nil {
+			return value.Value{}, err
+		}
+		ks[i] = kv
+	}
+	return value.ListOf(ks...), nil
 }

@@ -177,9 +177,8 @@ func assemblePartitions(accs [][][]seqFragment, nparts, total int) *partitionSet
 // pump workers one batch-sized morsel per send; workers encode keys on
 // forked contexts and route rows to per-partition fragments. Inputs that end
 // below minParallelRows are routed inline with no goroutine fan-out. The
-// source is always closed before returning. Key encoding takes the
-// step-counting path so serial and parallel plans over the same rows report
-// identical EvalSteps (folded into c by the scheduler).
+// source is always closed before returning. Key-encoding steps are counted
+// on the forked contexts and folded into c, like every other worker's.
 func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, varName string, nparts int) (*partitionSet, error) {
 	if err := src.Open(); err != nil {
 		src.Close()
@@ -224,7 +223,7 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 		// unchanged; only the fan-out is skipped.
 		src.Close()
 		ctx := c.fork()
-		enc := newKeyEncoder(ctx, keys, varName, true)
+		enc := newKeyEncoder(ctx, keys, varName)
 		acc := make([][]seqFragment, nparts)
 		var scratch []byte
 		var err error
@@ -260,7 +259,7 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 	err := s.pump(c, feedAll, func(w int, ctx *Ctx, sb seqRows) error {
 		if accs[w] == nil {
 			accs[w] = make([][]seqFragment, nparts)
-			encs[w] = newKeyEncoder(ctx, keys, varName, true)
+			encs[w] = newKeyEncoder(ctx, keys, varName)
 		}
 		var rerr error
 		scratches[w], rerr = routeBatch(encs[w], sb, nparts, accs[w], scratches[w])
@@ -280,8 +279,8 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 }
 
 // parOutput is the shared output stage of the partitioned operators: Open
-// materializes per-partition result slices, Next (or NextBatch) streams them
-// in partition order, Close releases them (both inputs were drained — and
+// materializes per-partition result slices, NextBatch streams them in
+// partition order, Close releases them (both inputs were drained — and
 // closed — in Open, so there is nothing else to tear down).
 type parOutput struct {
 	out   [][]value.Value
@@ -300,23 +299,8 @@ func (o *parOutput) reset(nparts, bsize int) {
 	o.bsize = NormalizeBatchSize(bsize)
 }
 
-// Next streams the materialized output partition by partition.
-func (o *parOutput) Next() (value.Value, bool, error) {
-	for o.pi < len(o.out) {
-		if o.oi < len(o.out[o.pi]) {
-			v := o.out[o.pi][o.oi]
-			o.oi++
-			return v, true, nil
-		}
-		o.pi++
-		o.oi = 0
-	}
-	return value.Value{}, false, nil
-}
-
 // NextBatch streams the materialized output as zero-copy slices of the
-// per-partition result vectors, making the partitioned operators batch
-// sources for batched plans.
+// per-partition result vectors.
 func (o *parOutput) NextBatch() (*Batch, bool, error) {
 	for o.pi < len(o.out) {
 		part := o.out[o.pi]
@@ -340,16 +324,6 @@ func (o *parOutput) NextBatch() (*Batch, bool, error) {
 func (o *parOutput) Close() error {
 	o.out = nil
 	return nil
-}
-
-// batchInput returns the batch form of a partitioned operator's input: the
-// batch iterator itself when the planner compiled the child batched, the row
-// iterator adapted otherwise.
-func batchInput(it Iterator, bit BatchIterator, size int) BatchIterator {
-	if bit != nil {
-		return bit
-	}
-	return &RowsToBatch{It: it, Size: size}
 }
 
 // runPartitioned is the shared orchestration of the partitioned operators on
@@ -466,14 +440,14 @@ func buildPartition(c *Ctx, ps *partitionSet, p int) (*hashTable, error) {
 	return table, nil
 }
 
-// ParHashJoin is the parallel partitioned form of HashJoin: inner, semi,
-// anti, and left-outer flat joins on equi-keys, partitioned by key hash
-// across Degree partitions and scheduled as morsels on the query's worker
-// pool. Open materializes the full output; Next streams it.
+// ParHashJoin is the parallel partitioned form of BatchHashJoin: inner,
+// semi, anti, and left-outer flat joins on equi-keys, partitioned by key
+// hash across Degree partitions and scheduled as morsels on the query's
+// worker pool. Open materializes the full output; NextBatch streams it.
 type ParHashJoin struct {
 	Ctx          *Ctx
 	Kind         algebra.JoinKind
-	L, R         Iterator
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
@@ -482,10 +456,7 @@ type ParHashJoin struct {
 	// from the query's Scheduler (Degree doubles as the pool hint when the
 	// context carries none).
 	Degree int
-	// BL/BR, when set, feed the exchange directly with batches (batched
-	// plans); otherwise L/R are adapted. BatchSize sizes the exchange feed
-	// and the output batches (0 = default).
-	BL, BR    BatchIterator
+	// BatchSize sizes the output batches (0 = default).
 	BatchSize int
 
 	parOutput
@@ -503,8 +474,7 @@ func (j *ParHashJoin) Open() error {
 		j.pad = nullTuple(j.RElem)
 	}
 	j.reset(j.Degree, j.BatchSize)
-	return runPartitioned(j.Ctx, j.Degree,
-		batchInput(j.L, j.BL, j.BatchSize), batchInput(j.R, j.BR, j.BatchSize),
+	return runPartitioned(j.Ctx, j.Degree, j.L, j.R,
 		j.LKeys, j.RKeys, j.LVar, j.RVar, j.probeFragment, j.out)
 }
 
@@ -579,16 +549,14 @@ func probeAnyBucket(c *Ctx, l value.Value, bucket []value.Value,
 // partition, so the group is complete within one probe morsel.
 type ParHashNestJoin struct {
 	Ctx          *Ctx
-	L, R         Iterator
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
 	Fn           tmql.Expr
 	Label        string
 	Degree       int
-	// BL/BR/BatchSize mirror ParHashJoin's batched inputs.
-	BL, BR    BatchIterator
-	BatchSize int
+	BatchSize    int
 
 	parOutput
 }
@@ -597,8 +565,7 @@ type ParHashNestJoin struct {
 // per-fragment group-probe morsels on the worker pool.
 func (j *ParHashNestJoin) Open() error {
 	j.reset(j.Degree, j.BatchSize)
-	return runPartitioned(j.Ctx, j.Degree,
-		batchInput(j.L, j.BL, j.BatchSize), batchInput(j.R, j.BR, j.BatchSize),
+	return runPartitioned(j.Ctx, j.Degree, j.L, j.R,
 		j.LKeys, j.RKeys, j.LVar, j.RVar, j.probeFragment, j.out)
 }
 

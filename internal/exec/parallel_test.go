@@ -21,16 +21,16 @@ func genRows(n, keys int, key, val string) []value.Value {
 	return out
 }
 
-func parJoinPair(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, degree int) (serial, par Iterator) {
+func parJoinPair(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, degree int) (serial, par BatchIterator) {
 	lk := []tmql.Expr{pred("x.k")}
 	rk := []tmql.Expr{pred("y.j")}
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	serial = &HashJoin{
-		Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+	serial = &BatchHashJoin{
+		Ctx: ctx, Kind: kind, L: scan(l), R: scan(r),
 		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
 	}
 	par = &ParHashJoin{
-		Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+		Ctx: ctx, Kind: kind, L: scan(l), R: scan(r),
 		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
 		Degree: degree,
 	}
@@ -51,8 +51,8 @@ func TestParHashJoinMatchesSerial(t *testing.T) {
 					name := fmt.Sprintf("%s/%s/n=%d/p=%d", kind, rname, n, degree)
 					ctx := NewCtx(nil)
 					serial, par := parJoinPair(ctx, kind, l, r, residual, degree)
-					want := collect(t, serial)
-					got := collect(t, par)
+					want := collectBatches(t, serial)
+					got := collectBatches(t, par)
 					if !value.Equal(got, want) {
 						t.Errorf("%s: parallel result differs from serial:\nwant %s\ngot  %s", name, want, got)
 					}
@@ -64,20 +64,23 @@ func TestParHashJoinMatchesSerial(t *testing.T) {
 
 // TestParHashJoinStepsMatchSerial pins the step accounting: the partitioned
 // plan performs exactly the same expression evaluations as the serial one
-// (keys once per row, residual once per candidate), just sharded per worker.
+// (keys once per row, residual once per candidate), just sharded per worker
+// — whether the residual runs compiled (serially) or generic (in workers).
 func TestParHashJoinStepsMatchSerial(t *testing.T) {
 	l, r := genRows(400, 13, "k", "v"), genRows(300, 7, "j", "w")
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi} {
-		sctx, pctx := NewCtx(nil), NewCtx(nil)
-		serial, _ := parJoinPair(sctx, kind, l, r, pred("x.v <= y.w + 250"), 0)
-		_, par := parJoinPair(pctx, kind, l, r, pred("x.v <= y.w + 250"), 4)
-		collect(t, serial)
-		collect(t, par)
-		if sctx.Ev.Steps != pctx.Ev.Steps {
-			t.Errorf("%s: serial performed %d eval steps, parallel %d", kind, sctx.Ev.Steps, pctx.Ev.Steps)
-		}
-		if pctx.Ev.Steps == 0 {
-			t.Errorf("%s: parallel run reported zero eval steps", kind)
+		for _, residual := range []string{"x.v <= y.w + 250", "x.v <= y.w"} {
+			sctx, pctx := NewCtx(nil), NewCtx(nil)
+			serial, _ := parJoinPair(sctx, kind, l, r, pred(residual), 0)
+			_, par := parJoinPair(pctx, kind, l, r, pred(residual), 4)
+			collectBatches(t, serial)
+			collectBatches(t, par)
+			if sctx.Ev.Steps != pctx.Ev.Steps {
+				t.Errorf("%s/%s: serial performed %d eval steps, parallel %d", kind, residual, sctx.Ev.Steps, pctx.Ev.Steps)
+			}
+			if pctx.Ev.Steps == 0 {
+				t.Errorf("%s/%s: parallel run reported zero eval steps", kind, residual)
+			}
 		}
 	}
 }
@@ -102,17 +105,17 @@ func TestParHashNestJoinMatchesSerial(t *testing.T) {
 		}
 		ctx := NewCtx(nil)
 		serial := &HashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r},
+			Ctx: ctx, L: rowScan(ds.l), R: rowScan(ds.r),
 			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
 		}
 		want := collect(t, serial)
 		for _, degree := range []int{2, 8} {
 			par := &ParHashNestJoin{
-				Ctx: NewCtx(nil), L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r},
+				Ctx: NewCtx(nil), L: scan(ds.l), R: scan(ds.r),
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
 				Degree: degree,
 			}
-			got := collect(t, par)
+			got := collectBatches(t, par)
 			if !value.Equal(got, want) {
 				t.Errorf("%s/p=%d: parallel nest join differs from serial:\nwant %s\ngot  %s",
 					ds.name, degree, want, got)
@@ -132,7 +135,7 @@ func TestParHashJoinErrors(t *testing.T) {
 	}
 	bad := &ParHashJoin{
 		Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-		L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y", Degree: 2,
+		L: scan(l), R: scan(r), LVar: "x", RVar: "y", Degree: 2,
 	}
 	if err := bad.Open(); err == nil {
 		t.Error("empty key lists should be rejected")
@@ -140,7 +143,7 @@ func TestParHashJoinErrors(t *testing.T) {
 	// Residual referencing a missing field fails inside workers; the error
 	// must propagate out of Collect.
 	_, evalErr := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, pred("x.missing = y.w"), 4)
-	if _, err := Collect(evalErr); err == nil {
+	if _, err := CollectBatches(evalErr); err == nil {
 		t.Error("worker evaluation error did not propagate")
 	}
 }
@@ -153,7 +156,7 @@ func TestPartitionInputRouting(t *testing.T) {
 	for _, nparts := range []int{2, 5, 8} {
 		ctx := NewCtx(nil)
 		s := NewScheduler(SchedConfig{Workers: nparts})
-		ps, err := partitionInput(ctx, s, &RowsToBatch{It: &SliceScan{Rows: rows}}, []tmql.Expr{pred("x.k")}, "x", nparts)
+		ps, err := partitionInput(ctx, s, scan(rows), []tmql.Expr{pred("x.k")}, "x", nparts)
 		if err != nil {
 			t.Fatal(err)
 		}

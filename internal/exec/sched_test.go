@@ -38,21 +38,21 @@ func skewRows(n int, key, val string) []value.Value {
 func TestSchedulerStealsUnderSkew(t *testing.T) {
 	l, r := skewRows(2000, "k", "v"), skewRows(1000, "j", "w")
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	mk := func(ctx *Ctx, degree int) Iterator {
+	mk := func(ctx *Ctx, degree int) BatchIterator {
 		if degree < 2 {
-			return &HashJoin{
-				Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			return &BatchHashJoin{
+				Ctx: ctx, Kind: algebra.JoinSemi, L: &BatchSliceScan{Rows: l, Size: 64}, R: &BatchSliceScan{Rows: r, Size: 64},
 				LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 				RElem: relem,
 			}
 		}
 		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, Kind: algebra.JoinSemi, L: &BatchSliceScan{Rows: l, Size: 64}, R: &BatchSliceScan{Rows: r, Size: 64},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 			RElem: relem, Degree: degree, BatchSize: 64,
 		}
 	}
-	want := value.Key(collect(t, mk(NewCtx(nil), 0)))
+	want := value.Key(collectBatches(t, mk(NewCtx(nil), 0)))
 
 	for _, degree := range []int{2, 8} {
 		t.Run(fmt.Sprintf("steal/p=%d", degree), func(t *testing.T) {
@@ -63,7 +63,7 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 			defer deactivate()
 			ctx := NewCtx(nil)
 			ctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64})
-			got := value.Key(collect(t, mk(ctx, degree)))
+			got := value.Key(collectBatches(t, mk(ctx, degree)))
 			if got != want {
 				t.Fatalf("p=%d: skewed parallel result not byte-identical to serial", degree)
 			}
@@ -78,7 +78,7 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 		t.Run(fmt.Sprintf("nosteal/p=%d", degree), func(t *testing.T) {
 			ctx := NewCtx(nil)
 			ctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64, NoSteal: true})
-			got := value.Key(collect(t, mk(ctx, degree)))
+			got := value.Key(collectBatches(t, mk(ctx, degree)))
 			if got != want {
 				t.Fatalf("p=%d: NoSteal result not byte-identical to serial", degree)
 			}
@@ -98,17 +98,17 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
 	mk := func(ctx *Ctx, degree int) *ParHashJoin {
 		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, Kind: algebra.JoinSemi, L: &BatchSliceScan{Rows: l, Size: 64}, R: &BatchSliceScan{Rows: r, Size: 64},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 			RElem: relem, Degree: degree, BatchSize: 64,
 		}
 	}
-	serial := &HashJoin{
-		Ctx: NewCtx(nil), Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+	serial := &BatchHashJoin{
+		Ctx: NewCtx(nil), Kind: algebra.JoinSemi, L: &BatchSliceScan{Rows: l, Size: 64}, R: &BatchSliceScan{Rows: r, Size: 64},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 		RElem: relem,
 	}
-	want := value.Key(collect(t, serial))
+	want := value.Key(collectBatches(t, serial))
 
 	for _, degree := range []int{2, 8} {
 		t.Run(fmt.Sprintf("p=%d", degree), func(t *testing.T) {
@@ -124,7 +124,7 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 
 			done := make(chan error, 1)
 			go func() {
-				_, err := CollectGoverned(gov, mk(ctx, degree))
+				_, err := CollectBatchesGoverned(gov, mk(ctx, degree))
 				done <- err
 			}()
 			time.Sleep(20 * time.Millisecond)
@@ -142,7 +142,7 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 
 			rctx := NewCtx(nil)
 			rctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64})
-			if got := value.Key(collect(t, mk(rctx, degree))); got != want {
+			if got := value.Key(collectBatches(t, mk(rctx, degree))); got != want {
 				t.Fatalf("post-cancel rerun diverged from serial oracle")
 			}
 		})

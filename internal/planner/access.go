@@ -348,10 +348,11 @@ func (e *Estimator) HasIndexScan(p algebra.Plan) bool {
 
 // compileIndexScan compiles a matched selection to the index-backed access
 // path: an IndexScan at the leaf (probing the matched prefix, applying the
-// residual when the selection sits directly over the scan) with the
-// intermediate chain nodes — further selections and wrapper Maps — rebuilt
-// above the bucket rows.
-func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *storage.HashIndex) (exec.Iterator, error) {
+// residual when the selection sits directly over the scan) behind a
+// RowsToBatch adapter, with the intermediate chain nodes — further
+// selections and wrapper Maps — rebuilt above the bucket rows as batch
+// operators.
+func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *storage.HashIndex) (exec.BatchIterator, error) {
 	chain, _, ok := AccessChain(n.In)
 	if !ok {
 		return nil, fmt.Errorf("planner: index-scan match without an access chain on %s", n.Describe())
@@ -360,22 +361,21 @@ func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *stor
 		Ctx: p.ctx, Table: m.Table, Index: m.Name(), Ix: ix, Depth: m.Depth,
 		Points: m.Points,
 	}
-	var it exec.Iterator = leaf
 	if len(chain) == 0 {
 		// Direct σ-over-scan: the operator applies the residual itself.
 		leaf.Var, leaf.Residual = n.Var, m.Residual
-		return it, nil
 	}
+	it := p.rowsToBatch(leaf)
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch c := chain[i].(type) {
 		case *algebra.Select:
-			it = &exec.Filter{Ctx: p.ctx, In: it, Var: c.Var, Pred: c.Pred}
+			it = &exec.BatchFilter{Ctx: p.ctx, In: it, Var: c.Var, Pred: c.Pred}
 		case *algebra.Map:
-			it = &exec.Distinct{Ctx: p.ctx, In: &exec.MapIter{Ctx: p.ctx, In: it, Var: c.Var, Out: c.Out}}
+			it = &exec.BatchDistinct{Ctx: p.ctx, In: &exec.BatchMap{Ctx: p.ctx, In: it, Var: c.Var, Out: c.Out}}
 		}
 	}
-	if m.Residual != nil {
-		it = &exec.Filter{Ctx: p.ctx, In: it, Var: n.Var, Pred: m.Residual}
+	if len(chain) > 0 && m.Residual != nil {
+		it = &exec.BatchFilter{Ctx: p.ctx, In: it, Var: n.Var, Pred: m.Residual}
 	}
 	return it, nil
 }

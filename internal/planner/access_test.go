@@ -180,14 +180,14 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 		t.Errorf("IN-list beyond the %d-point cap matched", maxIndexScanPoints)
 	}
 	// Multi-point scans cost one probe per point, cardinality unchanged.
-	one := est.EstimateAccess(s2, ImplAuto, 1, AccessIndex)
+	one := est.Estimate(s2, ImplAuto, 1, AccessIndex)
 	single, _ := b.Select(x, "x", tmql.MustParse("x.b = 1"))
-	base := est.EstimateAccess(single, ImplAuto, 1, AccessIndex)
+	base := est.Estimate(single, ImplAuto, 1, AccessIndex)
 	if one.Work != 3*base.Work {
 		t.Errorf("3-point probe work %v, want 3× single-point %v", one.Work, base.Work)
 	}
 	// EXPLAIN names the points.
-	if out := est.ExplainAccess(s2, ImplAuto, 1, AccessIndex); !strings.Contains(out, "points=3") {
+	if out := est.Explain(s2, ImplAuto, 1, AccessIndex, 0); !strings.Contains(out, "points=3") {
 		t.Errorf("multi-point scan not rendered:\n%s", out)
 	}
 }
@@ -324,8 +324,8 @@ func TestIndexScanCheaperThanScan(t *testing.T) {
 	est, b, _, _ := accessEnv(t)
 	x, _ := b.Scan("X")
 	s, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	scan := est.EstimateAccess(s, ImplAuto, 1, AccessScan)
-	idx := est.EstimateAccess(s, ImplAuto, 1, AccessIndex)
+	scan := est.Estimate(s, ImplAuto, 1, AccessScan)
+	idx := est.Estimate(s, ImplAuto, 1, AccessIndex)
 	if idx.Work >= scan.Work {
 		t.Errorf("idxscan %v should be cheaper than scan %v", idx, scan)
 	}
@@ -335,7 +335,7 @@ func TestIndexScanCheaperThanScan(t *testing.T) {
 	// Unindexed selection: identical costs either way.
 	y, _ := b.Scan("Y")
 	sy, _ := b.Select(y, "y", tmql.MustParse("y.a = 1"))
-	if got, want := est.EstimateAccess(sy, ImplAuto, 1, AccessIndex), est.EstimateAccess(sy, ImplAuto, 1, AccessScan); got != want {
+	if got, want := est.Estimate(sy, ImplAuto, 1, AccessIndex), est.Estimate(sy, ImplAuto, 1, AccessScan); got != want {
 		t.Errorf("fallback cost %v differs from scan %v", got, want)
 	}
 }
@@ -347,7 +347,7 @@ func TestChooseEnumeratesIdxScan(t *testing.T) {
 	est, b, _, _ := accessEnv(t)
 	x, _ := b.Scan("X")
 	s, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1)
+	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestChooseEnumeratesIdxScan(t *testing.T) {
 	// Without a matching index the access dimension collapses to scans.
 	y, _ := b.Scan("Y")
 	sy, _ := b.Select(y, "y", tmql.MustParse("y.a = 1"))
-	_, all2, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: sy}}, ImplAuto, 1)
+	_, all2, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: sy}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +382,11 @@ func TestChooseEnumeratesIdxScan(t *testing.T) {
 		}
 	}
 	// Explicit pins restrict the enumeration.
-	bestIdx, _, err := est.ChooseAccess([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessIndex)
+	bestIdx, _, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessIndex)
 	if err != nil || bestIdx.Access != AccessIndex {
 		t.Errorf("AccessIndex pin: best=%+v err=%v", bestIdx, err)
 	}
-	bestScan, _, err := est.ChooseAccess([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessScan)
+	bestScan, _, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessScan)
 	if err != nil || bestScan.Access != AccessScan {
 		t.Errorf("AccessScan pin: best=%+v err=%v", bestScan, err)
 	}
@@ -398,12 +398,23 @@ func TestExplainRendersIndexScan(t *testing.T) {
 	est, b, _, _ := accessEnv(t)
 	y, _ := b.Scan("Y")
 	s, _ := b.Select(y, "y", tmql.MustParse("y.b = 3 AND y.a > 0"))
-	out := est.ExplainAccess(s, ImplAuto, 1, AccessIndex)
+	out := est.Explain(s, ImplAuto, 1, AccessIndex, 0)
 	if !strings.Contains(out, "IndexScan(Y) using Y(b,d) prefix=1") || !strings.Contains(out, "residual[") {
 		t.Errorf("index scan not rendered:\n%s", out)
 	}
+	// The base scan the index replaces never runs and does not render; the
+	// chain nodes rebuilt above the bucket rows do.
+	if strings.Contains(out, " Scan(Y)") {
+		t.Errorf("base scan rendered under the index scan:\n%s", out)
+	}
+	inner, _ := b.Select(y, "y", tmql.MustParse("y.a > -100"))
+	chain, _ := b.Select(inner, "y", tmql.MustParse("y.b = 3"))
+	out = est.Explain(chain, ImplAuto, 1, AccessIndex, 0)
+	if !strings.Contains(out, "\n  Select[y.a > -100](y)[batch=1024]  (") || strings.Contains(out, " Scan(Y)") {
+		t.Errorf("chain under the index scan misrendered:\n%s", out)
+	}
 	// Scan rendering unchanged under the scan path.
-	if out := est.ExplainAccess(s, ImplAuto, 1, AccessScan); strings.Contains(out, "IndexScan") {
+	if out := est.Explain(s, ImplAuto, 1, AccessScan, 0); strings.Contains(out, "IndexScan") {
 		t.Errorf("scan path rendered an IndexScan:\n%s", out)
 	}
 }

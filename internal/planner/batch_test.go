@@ -20,9 +20,10 @@ func batchEnv(t *testing.T) (*algebra.Builder, *exec.Ctx, *Estimator) {
 	return algebra.NewBuilder(cat), exec.NewCtx(db), NewEstimator(db)
 }
 
-// TestCompileBatchMatchesCompile runs CompileBatch against Compile on every
-// logical operator family, across join implementations, degrees, and batch
-// sizes, asserting canonical result equality.
+// TestCompileBatchMatchesCompile runs CompileBatch at batch sizes 3 and the
+// default against Compile at batch size 1 (the row-at-a-time ablation) on
+// every logical operator family, across join implementations and degrees,
+// asserting canonical result equality and identical EvalSteps.
 func TestCompileBatchMatchesCompile(t *testing.T) {
 	b, ctx, _ := batchEnv(t)
 	x, _ := b.Scan("X")
@@ -72,31 +73,38 @@ func TestCompileBatchMatchesCompile(t *testing.T) {
 	for name, plan := range plans {
 		for _, o := range opts {
 			// Merge (and pinned hash) is infeasible without an equi-key;
-			// Compile and CompileBatch must agree on the error too.
-			rowIt, rowErr := New(ctx, o).Compile(plan)
-			for _, size := range []int{1, 3, 0} {
+			// every batch size must agree on the error too.
+			ro := o
+			ro.BatchSize = 1
+			rctx := exec.NewCtx(ctx.DB)
+			rowIt, rowErr := New(rctx, ro).Compile(plan)
+			var want value.Value
+			if rowErr == nil {
+				if want, err = exec.Collect(rowIt); err != nil {
+					t.Fatalf("%s/%+v: row: %v", name, ro, err)
+				}
+			}
+			for _, size := range []int{3, 0} {
 				bo := o
 				bo.BatchSize = size
-				batIt, batErr := New(ctx, bo).CompileBatch(plan)
+				bctx := exec.NewCtx(ctx.DB)
+				batIt, batErr := New(bctx, bo).CompileBatch(plan)
 				if (rowErr == nil) != (batErr == nil) {
 					t.Fatalf("%s/%+v: row err %v, batch err %v", name, bo, rowErr, batErr)
 				}
 				if rowErr != nil {
 					continue
 				}
-				want, err := exec.Collect(rowIt)
-				if err != nil {
-					t.Fatalf("%s/%+v: row: %v", name, o, err)
-				}
 				got, err := exec.CollectBatches(batIt)
 				if err != nil {
 					t.Fatalf("%s/%+v: batch: %v", name, bo, err)
 				}
 				if !value.Equal(got, want) {
-					t.Errorf("%s/%+v: batch result differs from row:\nwant %s\ngot  %s", name, bo, want, got)
+					t.Errorf("%s/%+v: batch result differs from batch 1:\nwant %s\ngot  %s", name, bo, want, got)
 				}
-				// Row plans are single-use; recompile for the next size.
-				rowIt, rowErr = New(ctx, o).Compile(plan)
+				if bctx.Ev.Steps != rctx.Ev.Steps {
+					t.Errorf("%s/%+v: %d eval steps, batch 1 took %d", name, bo, bctx.Ev.Steps, rctx.Ev.Steps)
+				}
 			}
 		}
 	}
@@ -135,7 +143,7 @@ func TestCompileBatchOperatorShapes(t *testing.T) {
 	}
 	if pj, ok := it.(*exec.ParHashJoin); !ok {
 		t.Errorf("par=4 equi join compiled to %T, want *exec.ParHashJoin", it)
-	} else if pj.BL == nil || pj.BR == nil {
+	} else if pj.L == nil || pj.R == nil {
 		t.Error("partitioned join should be fed batched inputs directly")
 	}
 	it, err = New(ctx, Options{Parallelism: 4}).CompileBatch(nj)
@@ -163,93 +171,9 @@ func TestCompileBatchOperatorShapes(t *testing.T) {
 	}
 }
 
-// TestEstimateExecBatchDiscount pins the cost model's shape: batch <= 0 is
-// exactly the row estimate, a large plan gets cheaper at the default batch
-// size, and a tiny plan stays cheapest row-at-a-time (flat overhead wins).
-func TestEstimateExecBatchDiscount(t *testing.T) {
-	b, _, est := batchEnv(t)
-	plan := equiNestJoinPlan(t, b)
-	row := est.EstimateAccess(plan, ImplHash, 1, AccessScan)
-	if got := est.EstimateExec(plan, ImplHash, 1, AccessScan, 0); got != row {
-		t.Errorf("batch=0 must be the row estimate: %v vs %v", got, row)
-	}
-	if got := est.EstimateExec(plan, ImplHash, 1, AccessScan, -1); got != row {
-		t.Errorf("batch<0 must be the row estimate: %v vs %v", got, row)
-	}
-	bat := est.EstimateExec(plan, ImplHash, 1, AccessScan, exec.DefaultBatchSize)
-	if bat.Work >= row.Work {
-		t.Errorf("batching should win at this scale: row=%v batch=%v", row.Work, bat.Work)
-	}
-	if bat.Rows != row.Rows {
-		t.Error("batching must not change cardinality estimates")
-	}
-
-	// Tiny-input crossover: work below the flat overhead keeps row cheaper.
-	if BatchWorkFactor(exec.DefaultBatchSize)*20+batchStartupWork <= 20 {
-		t.Error("flat overhead must keep tiny plans on the row engine")
-	}
-	if BatchWorkFactor(1) != 1 || BatchWorkFactor(0) != 1 {
-		t.Error("factor must be 1 at batch <= 1")
-	}
-}
-
-// TestChooseExecEnumeratesBatch checks the batch dimension enumerates
-// orthogonally: auto doubles the feasible candidates, the batched variant
-// wins at scale, pins restrict the set, and the legacy entry points are
-// unchanged.
-func TestChooseExecEnumeratesBatch(t *testing.T) {
-	b, _, est := batchEnv(t)
-	plan := equiNestJoinPlan(t, b)
-	sp := []StrategyPlan{{Strategy: "nestjoin", Plan: plan}}
-
-	_, legacy, err := est.ChooseAccess(sp, ImplAuto, 1, AccessAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range legacy {
-		if c.Batch != 0 {
-			t.Errorf("legacy entry point enumerated a batched candidate: %v", c)
-		}
-	}
-
-	best, all, err := est.ChooseExec(sp, ImplAuto, 1, AccessAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feasible, batched := 0, 0
-	for _, c := range all {
-		if c.Infeasible != "" {
-			continue
-		}
-		feasible++
-		if c.Batch > 0 {
-			batched++
-			if c.Batch != exec.DefaultBatchSize {
-				t.Errorf("auto mode should enumerate the default size, got %d", c.Batch)
-			}
-		}
-	}
-	if batched == 0 || batched*2 != feasible {
-		t.Errorf("auto mode should pair every row candidate with a batched one: %d/%d", batched, feasible)
-	}
-	if best.Batch != exec.DefaultBatchSize {
-		t.Errorf("batched hash should win at this scale, best = %+v", best)
-	}
-
-	_, pinned, err := est.ChooseExec(sp, ImplAuto, 1, AccessAuto, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range pinned {
-		if c.Infeasible == "" && c.Batch != 256 {
-			t.Errorf("pinned size ignored: %v", c)
-		}
-	}
-}
-
 // TestExplainExecRendersBatch pins the EXPLAIN rendering: batch-native
-// operators carry [batch=N], cold ones do not, and batch <= 0 is byte-equal
-// to the row rendering.
+// operators carry [batch=N], cold ones do not, batch 0 renders the default
+// size, and the candidate table carries no batch column.
 func TestExplainExecRendersBatch(t *testing.T) {
 	b, _, est := batchEnv(t)
 	x, _ := b.Scan("X")
@@ -258,26 +182,26 @@ func TestExplainExecRendersBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := est.ExplainExec(fj, ImplAuto, 1, AccessScan, 1024)
-	if !strings.Contains(out, "[batch=1024]") {
-		t.Errorf("no batch annotation:\n%s", out)
+	out := est.Explain(fj, ImplAuto, 1, AccessScan, 64)
+	if !strings.Contains(out, "HashJoin[x.b = z.d](x, z)[batch=64]") {
+		t.Errorf("no batch annotation on the join:\n%s", out)
 	}
-	if !strings.Contains(out, "Scan(X)[batch=1024]") {
+	if !strings.Contains(out, "Scan(X)[batch=64]") {
 		t.Errorf("scan should be annotated:\n%s", out)
 	}
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "g")
-	serialNest := est.ExplainExec(nj, ImplHash, 1, AccessScan, 1024)
+	serialNest := est.Explain(nj, ImplHash, 1, AccessScan, 1024)
 	for _, line := range strings.Split(serialNest, "\n") {
 		if strings.Contains(line, "NestJoin") && strings.Contains(line, "[batch=") {
 			t.Errorf("serial hash nest join is a row operator, must not be annotated:\n%s", serialNest)
 		}
 	}
-	if got, want := est.ExplainExec(fj, ImplAuto, 4, AccessScan, 0), est.ExplainAccess(fj, ImplAuto, 4, AccessScan); got != want {
-		t.Errorf("batch=0 must match the row rendering:\nrow:\n%s\nbatch:\n%s", want, got)
+	if got, want := est.Explain(fj, ImplAuto, 4, AccessScan, 0), est.Explain(fj, ImplAuto, 4, AccessScan, exec.DefaultBatchSize); got != want {
+		t.Errorf("batch=0 must render the default size:\ndefault:\n%s\nbatch=0:\n%s", want, got)
 	}
 
 	c := Candidate{Strategy: "flat", Joins: ImplHash, Par: 4, Batch: 1024, Cost: Cost{Work: 9}}
-	if s := c.String(); !strings.Contains(s, "hash×4+b1024") {
+	if s := c.String(); !strings.Contains(s, "hash×4 ") || strings.Contains(s, "+b") {
 		t.Errorf("candidate rendering = %q", s)
 	}
 }

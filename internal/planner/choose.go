@@ -44,8 +44,9 @@ type Candidate struct {
 	// Par is the partitioned-execution degree this candidate was costed at
 	// (1 = serial).
 	Par int
-	// Batch is the vectorized batch size this candidate was costed at (0 =
-	// row-at-a-time execution).
+	// Batch is the rows-per-batch size the engine executes the candidate at.
+	// Batch size is not costed, so Choose leaves it zero and the engine
+	// stamps the size it executes at on every candidate it reports.
 	Batch int
 	Plan  algebra.Plan
 	Cost  Cost
@@ -68,9 +69,6 @@ func (c Candidate) String() string {
 	if c.Access == AccessIndex {
 		joins += "+idxscan"
 	}
-	if c.Batch > 0 {
-		joins += fmt.Sprintf("+b%d", c.Batch)
-	}
 	alt := c.Alt
 	if alt == "" {
 		alt = AltBase
@@ -87,48 +85,23 @@ func (c Candidate) String() string {
 }
 
 // Choose picks the cheapest feasible strategy × join-implementation ×
-// parallelism combination by estimated work. fixed restricts the join family
-// when the caller set one explicitly (ImplAuto enumerates all); par is the
-// maximum partitioned-execution degree — combinations that compile to
-// partitioned operators are additionally costed at that degree, so EXPLAIN
-// shows whether parallelism pays and the winner carries the chosen degree.
-// Plans without join-family operators collapse to a single candidate per
-// strategy, since the implementation choice cannot matter. The returned
-// slice reports every candidate considered (for EXPLAIN); the returned
-// pointer aliases its winning entry.
-func (e *Estimator) Choose(plans []StrategyPlan, fixed JoinImpl, par int) (*Candidate, []Candidate, error) {
-	return e.ChooseAccess(plans, fixed, par, AccessAuto)
-}
-
-// ChooseAccess is Choose with an access-path pin: AccessAuto enumerates the
+// access-path × parallelism combination by estimated work. fixed restricts
+// the join family when the caller set one explicitly (ImplAuto enumerates
+// all); par is the maximum partitioned-execution degree — combinations that
+// compile to partitioned operators are additionally costed at that degree,
+// so EXPLAIN shows whether parallelism pays and the winner carries the
+// chosen degree. access pins the access path: AccessAuto enumerates the
 // full-scan variant of every combination plus an index-scan variant for
 // plans where a live index can serve a selection; AccessScan and AccessIndex
 // restrict the enumeration to that path (AccessIndex still falls back to
 // scans per selection at compile time, exactly as ImplIndex falls back per
-// join operator).
-func (e *Estimator) ChooseAccess(plans []StrategyPlan, fixed JoinImpl, par int, access AccessPath) (*Candidate, []Candidate, error) {
-	return e.ChooseExec(plans, fixed, par, access, -1)
-}
-
-// ChooseExec is ChooseAccess with a batch-size pin, the full physical
-// enumeration the engine uses: batch < 0 restricts the enumeration to
-// row-at-a-time execution (the seed behavior ChooseAccess preserves), batch =
-// 0 enumerates a vectorized variant at exec.DefaultBatchSize alongside every
-// row-at-a-time combination, and batch > 0 pins every candidate to vectorized
-// execution at that size (clamped to exec.MaxBatchSize). Batch size is
-// orthogonal to the other physical dimensions — every strategy × alternative
-// × join family × degree × access combination is costed at every enumerated
-// batch size.
-func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, access AccessPath, batch int) (*Candidate, []Candidate, error) {
+// join operator). Plans without join-family operators collapse to a single
+// candidate per strategy, since the implementation choice cannot matter.
+// The returned slice reports every candidate considered (for EXPLAIN); the
+// returned pointer aliases its winning entry.
+func (e *Estimator) Choose(plans []StrategyPlan, fixed JoinImpl, par int, access AccessPath) (*Candidate, []Candidate, error) {
 	if len(plans) == 0 {
 		return nil, nil, fmt.Errorf("planner: no candidate plans to choose from")
-	}
-	batches := []int{0}
-	switch {
-	case batch == 0:
-		batches = []int{0, exec.DefaultBatchSize}
-	case batch > 0:
-		batches = []int{exec.NormalizeBatchSize(batch)}
 	}
 	impls := []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge}
 	if fixed != ImplAuto {
@@ -176,13 +149,11 @@ func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, ac
 			}
 			for _, deg := range degrees {
 				for _, acc := range accesses {
-					for _, bsz := range batches {
-						c := Candidate{Strategy: sp.Strategy, Alt: alt, Joins: impl, Access: acc, Par: deg, Batch: bsz, Plan: sp.Plan}
-						c.Cost = e.EstimateExec(sp.Plan, impl, deg, acc, bsz)
-						all = append(all, c)
-						if best < 0 || c.Cost.Work < all[best].Cost.Work {
-							best = len(all) - 1
-						}
+					c := Candidate{Strategy: sp.Strategy, Alt: alt, Joins: impl, Access: acc, Par: deg, Plan: sp.Plan}
+					c.Cost = e.Estimate(sp.Plan, impl, deg, acc)
+					all = append(all, c)
+					if best < 0 || c.Cost.Work < all[best].Cost.Work {
+						best = len(all) - 1
 					}
 				}
 			}
@@ -279,31 +250,31 @@ func hasJoinFamily(p algebra.Plan) bool {
 	return false
 }
 
-// ExplainPhysical renders the plan as the physical operator tree the given
-// implementation choice compiles to, annotated with per-node estimated rows
-// and cost — the body of the engine's EXPLAIN. The deprecated two-argument
-// form renders the serial mapping; ExplainPhysicalPar names the partitioned
-// operators ("ParHashJoin[4]") at degrees >= 2, and ExplainAccess
-// additionally names index-served selections ("IndexScan(X) using X(b)")
-// under the idxscan access path.
-func (e *Estimator) ExplainPhysical(p algebra.Plan, impl JoinImpl) string {
-	return e.ExplainAccess(p, impl, 1, AccessScan)
-}
-
-// ExplainPhysicalPar is ExplainPhysical at a partitioned-execution degree.
-func (e *Estimator) ExplainPhysicalPar(p algebra.Plan, impl JoinImpl, par int) string {
-	return e.ExplainAccess(p, impl, par, AccessScan)
-}
-
-// ExplainAccess is the fully physical rendering: implementation choice,
-// partitioned-execution degree, and access path.
-func (e *Estimator) ExplainAccess(p algebra.Plan, impl JoinImpl, par int, access AccessPath) string {
+// Explain renders the plan as the physical operator tree the given
+// implementation choice, degree and access path compile to, annotated with
+// per-node estimated rows and cost — the body of the engine's EXPLAIN.
+// Partitioned operators render as "ParHashJoin[4]", index-served selections
+// as "IndexScan(X) using X(b)" (the chain nodes above the bucket rows still
+// render; the base scan below them never runs and does not), and
+// batch-native operators carry their batch size ("HashJoin[batch=1024]");
+// operators without the suffix are row operators behind adapters.
+func (e *Estimator) Explain(p algebra.Plan, impl JoinImpl, par int, access AccessPath, batch int) string {
+	batch = exec.NormalizeBatchSize(batch)
 	var b strings.Builder
+	var hidden *algebra.Scan // the base scan under an IndexScan
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
-		c := e.EstimateAccess(n, impl, par, access)
+		if s, ok := n.(*algebra.Scan); ok && s == hidden {
+			return
+		}
+		desc, scan := e.physicalDescribe(n, impl, par, access)
+		if scan != nil {
+			hidden = scan
+		} else if e.batchNative(n, impl, par) {
+			desc += fmt.Sprintf("[batch=%d]", batch)
+		}
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (%s)\n", e.physicalDescribeAccess(n, impl, par, access), c)
+		fmt.Fprintf(&b, "%s  (%s)\n", desc, e.Estimate(n, impl, par, access))
 		for _, ch := range n.Children() {
 			walk(ch, depth+1)
 		}
@@ -312,16 +283,18 @@ func (e *Estimator) ExplainAccess(p algebra.Plan, impl JoinImpl, par int, access
 	return b.String()
 }
 
-// physicalDescribeAccess is the estimator-aware operator naming: under the
+// physicalDescribe is the estimator-aware operator naming: under the
 // idxjoin family it consults the index registry to render index-served
 // operators as "Idx…" with the probed index (naming the auto fallback for
 // the rest), and under the idxscan access path it renders index-served
-// selections as "IndexScan" with the probed index and depth; everything else
-// delegates to PhysicalDescribePar.
-func (e *Estimator) physicalDescribeAccess(n algebra.Plan, impl JoinImpl, par int, access AccessPath) string {
+// selections as "IndexScan" with the probed index and depth, also returning
+// the base scan the index replaces; everything else delegates to
+// PhysicalDescribe.
+func (e *Estimator) physicalDescribe(n algebra.Plan, impl JoinImpl, par int, access AccessPath) (string, *algebra.Scan) {
 	if access == AccessIndex {
 		if sel, ok := n.(*algebra.Select); ok {
 			if m, ok := e.findIndexScanStats(sel); ok {
+				_, scan, _ := AccessChain(sel.In)
 				desc := fmt.Sprintf("IndexScan(%s) using %s(%s)", m.Table, m.Table, m.Name())
 				if m.Depth < len(m.IndexAttrs) {
 					desc += fmt.Sprintf(" prefix=%d", m.Depth)
@@ -332,37 +305,69 @@ func (e *Estimator) physicalDescribeAccess(n algebra.Plan, impl JoinImpl, par in
 				if m.Residual != nil {
 					desc += fmt.Sprintf(" residual[%s]", tmql.Format(m.Residual))
 				}
-				return desc
+				return desc, scan
 			}
 		}
 	}
 	if impl != ImplIndex {
-		return PhysicalDescribePar(n, impl, par)
+		return PhysicalDescribe(n, impl, par), nil
 	}
 	switch j := n.(type) {
 	case *algebra.Join:
 		if pr, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name())
+			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name()), nil
 		}
 	case *algebra.NestJoin:
 		if pr, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name())
+			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name()), nil
 		}
 	}
-	return PhysicalDescribePar(n, ImplAuto, par)
+	return PhysicalDescribe(n, ImplAuto, par), nil
+}
+
+// batchNative reports whether CompileBatch compiles the node to a
+// batch-native operator (as opposed to a row operator behind adapters), so
+// EXPLAIN's [batch=N] annotations cannot drift from compilation: scans,
+// selections and maps are batch-native (Explain handles index-served
+// selections before asking); flat joins are batch-native exactly when they
+// resolve to the hash family (BatchHashJoin serially, ParHashJoin
+// partitioned); nest joins only through the partitioned exchange (the
+// serial HashNestJoin stays a row operator).
+func (e *Estimator) batchNative(n algebra.Plan, impl JoinImpl, par int) bool {
+	switch j := n.(type) {
+	case *algebra.Scan, *algebra.Map, *algebra.Select:
+		return true
+	case *algebra.Join:
+		lk, rk, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
+		if impl == ImplIndex {
+			if _, ok := FindIndexProbe(j.R, j.RVar, rk, e.statsIndexes); ok {
+				return false
+			}
+			// No usable index: CompileBatch falls back to the auto mapping.
+			return len(lk) > 0
+		}
+		eff := effectiveJoinImpl(impl, len(lk) > 0)
+		return eff == ImplHash || eff == ImplMerge // flat-join merge lowers to hash
+	case *algebra.NestJoin:
+		lk, rk, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
+		eff := impl
+		if eff == ImplIndex {
+			if _, ok := FindIndexProbe(j.R, j.RVar, rk, e.statsIndexes); ok {
+				return false
+			}
+			eff = ImplAuto
+		}
+		return effectiveJoinImpl(eff, len(lk) > 0) == ImplHash && par > 1
+	}
+	return false
 }
 
 // PhysicalDescribe names the physical operator a logical node compiles to
-// under the given implementation choice, matching the exec package's
-// operator names (NLJoin, HashSemiJoin, MergeNestJoin, …). Non-join nodes
+// under the given implementation choice and partitioned-execution degree,
+// matching the exec package's operator names (NLJoin, HashSemiJoin,
+// MergeNestJoin, "ParHash…[degree]" at degrees >= 2, …). Non-join nodes
 // keep their logical description.
-func PhysicalDescribe(n algebra.Plan, impl JoinImpl) string {
-	return PhysicalDescribePar(n, impl, 1)
-}
-
-// PhysicalDescribePar is PhysicalDescribe at a partitioned-execution degree:
-// nodes that compile to the parallel operators render as "ParHash…[degree]".
-func PhysicalDescribePar(n algebra.Plan, impl JoinImpl, par int) string {
+func PhysicalDescribe(n algebra.Plan, impl JoinImpl, par int) string {
 	switch j := n.(type) {
 	case *algebra.Join:
 		lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)

@@ -50,7 +50,7 @@ func thetaJoinPlan(t *testing.T, b *algebra.Builder) algebra.Plan {
 func TestChoosePicksHashOnEquiPlan(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1)
+	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestChoosePrefersFlatStrategyOverNaive(t *testing.T) {
 	best, _, err := est.Choose([]StrategyPlan{
 		{Strategy: "naive", Plan: naive},
 		{Strategy: "nestjoin", Plan: plan},
-	}, ImplAuto, 1)
+	}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestChoosePrefersFlatStrategyOverNaive(t *testing.T) {
 func TestChooseRespectsFixedImpl(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplMerge, 1)
+	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplMerge, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChooseInfeasibleHashOnThetaJoin(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := thetaJoinPlan(t, b)
 	// Fixed hash on a theta join: nothing feasible.
-	_, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplHash, 1)
+	_, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplHash, 1, AccessAuto)
 	if err == nil {
 		t.Fatal("expected no-feasible-candidate error")
 	}
@@ -108,7 +108,7 @@ func TestChooseInfeasibleHashOnThetaJoin(t *testing.T) {
 		t.Errorf("candidates = %+v", all)
 	}
 	// Auto enumeration still works: nested loops carries it.
-	best, _, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1)
+	best, _, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestChooseCollapsesImplsWithoutJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: sel}}, ImplAuto, 1)
+	_, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: sel}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,15 +152,15 @@ func TestImplInfeasible(t *testing.T) {
 func TestExplainPhysicalNames(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	hash := est.ExplainPhysical(plan, ImplHash)
+	hash := est.Explain(plan, ImplHash, 1, AccessScan, 0)
 	if !strings.Contains(hash, "HashNestJoin") || !strings.Contains(hash, "rows≈") {
 		t.Errorf("hash rendering:\n%s", hash)
 	}
-	nl := est.ExplainPhysical(plan, ImplNestedLoop)
+	nl := est.Explain(plan, ImplNestedLoop, 1, AccessScan, 0)
 	if !strings.Contains(nl, "NLNestJoin") {
 		t.Errorf("nl rendering:\n%s", nl)
 	}
-	merge := est.ExplainPhysical(plan, ImplMerge)
+	merge := est.Explain(plan, ImplMerge, 1, AccessScan, 0)
 	if !strings.Contains(merge, "MergeNestJoin") {
 		t.Errorf("merge rendering:\n%s", merge)
 	}
@@ -168,7 +168,7 @@ func TestExplainPhysicalNames(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	j, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
-	if out := est.ExplainPhysical(j, ImplMerge); !strings.Contains(out, "HashSemiJoin") {
+	if out := est.Explain(j, ImplMerge, 1, AccessScan, 0); !strings.Contains(out, "HashSemiJoin") {
 		t.Errorf("flat merge fallback rendering:\n%s", out)
 	}
 }
@@ -184,7 +184,7 @@ func TestEvalCostScalesWithTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, cn := est.Estimate(small), est.Estimate(nested)
+	cs, cn := est.Estimate(small, ImplAuto, 1, AccessScan), est.Estimate(nested, ImplAuto, 1, AccessScan)
 	if cs.Work >= cn.Work {
 		t.Errorf("correlated nested query must cost more: flat=%v nested=%v", cs, cn)
 	}
@@ -197,9 +197,9 @@ func TestEvalCostScalesWithTables(t *testing.T) {
 func TestEstimatePhysicalOrdering(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	nl := est.EstimatePhysical(plan, ImplNestedLoop)
-	hash := est.EstimatePhysical(plan, ImplHash)
-	merge := est.EstimatePhysical(plan, ImplMerge)
+	nl := est.Estimate(plan, ImplNestedLoop, 1, AccessScan)
+	hash := est.Estimate(plan, ImplHash, 1, AccessScan)
+	merge := est.Estimate(plan, ImplMerge, 1, AccessScan)
 	if !(hash.Work < merge.Work && merge.Work < nl.Work) {
 		t.Errorf("expected hash < merge < nl at this scale: hash=%v merge=%v nl=%v",
 			hash.Work, merge.Work, nl.Work)

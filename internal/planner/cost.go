@@ -75,38 +75,20 @@ const (
 	parStartupWork   = 200.0
 )
 
-// Estimate computes the cost of a logical plan under the auto physical
-// mapping (hash where an equi-key exists, nested loops otherwise).
-func (e *Estimator) Estimate(p algebra.Plan) Cost {
-	return e.EstimatePhysical(p, ImplAuto)
-}
-
-// EstimatePhysical computes the serial cost of a logical plan when its
-// join-family operators are compiled with the given implementation choice.
-func (e *Estimator) EstimatePhysical(p algebra.Plan, impl JoinImpl) Cost {
-	return e.EstimatePhysicalPar(p, impl, 1)
-}
-
-// EstimatePhysicalPar computes the cost of a logical plan when its
-// join-family operators are compiled with the given implementation choice at
-// the given partitioned-execution degree, with leaf selections reading
-// through full scans. EstimateAccess is the access-path-aware form the
-// candidate enumeration uses. par <= 1 is serial; at higher degrees hash
-// probe work divides by par while the partition pass and per-worker startup
-// are added, so parallelism only wins where the §7-style cost arguments say
-// it should. Infeasible choices (hash without an equi-key) are costed as
+// Estimate computes the cost of a logical plan when its join-family
+// operators are compiled with the given implementation choice at the given
+// partitioned-execution degree, reading leaf selections through the given
+// access path. par <= 1 is serial; at higher degrees hash probe work divides
+// by par while the partition pass and per-worker startup are added, so
+// parallelism only wins where the §7-style cost arguments say it should.
+// With AccessIndex, selections served by a live persistent index are costed
+// as point probes (per-bucket depth statistics instead of a scan of the
+// input). The output cardinality of a selection is access-independent — only
+// the work term changes — mirroring how join implementations share
+// cardinality. Infeasible choices (hash without an equi-key) are costed as
 // their nested-loop fallback; feasibility is checked separately by
 // ImplInfeasible.
-func (e *Estimator) EstimatePhysicalPar(p algebra.Plan, impl JoinImpl, par int) Cost {
-	return e.EstimateAccess(p, impl, par, AccessScan)
-}
-
-// EstimateAccess is EstimatePhysicalPar under an access-path choice: with
-// AccessIndex, selections served by a live persistent index are costed as
-// point probes (per-bucket depth statistics instead of a scan of the input).
-// The output cardinality of a selection is access-independent — only the
-// work term changes — mirroring how join implementations share cardinality.
-func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, access AccessPath) Cost {
+func (e *Estimator) Estimate(p algebra.Plan, impl JoinImpl, par int, access AccessPath) Cost {
 	if par < 1 {
 		par = 1
 	}
@@ -120,7 +102,7 @@ func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, acces
 		return e.evalCost(n.Expr)
 
 	case *algebra.Select:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.Estimate(n.In, impl, par, access)
 		sel := e.predicateSelectivity(n.Pred, n.In, n.Var)
 		rows := in.Rows * sel
 		if access == AccessIndex {
@@ -131,7 +113,7 @@ func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, acces
 		return Cost{Rows: rows, Work: in.Work + in.Rows}
 
 	case *algebra.Map:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.Estimate(n.In, impl, par, access)
 		return Cost{Rows: in.Rows, Work: in.Work + in.Rows}
 
 	case *algebra.Join:
@@ -141,17 +123,17 @@ func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, acces
 		return e.estimateNestJoin(n, impl, par, access)
 
 	case *algebra.Nest:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.Estimate(n.In, impl, par, access)
 		return Cost{Rows: in.Rows * 0.5, Work: in.Work + in.Rows}
 
 	case *algebra.Unnest:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.Estimate(n.In, impl, par, access)
 		fanout := e.unnestFanout(n)
 		return Cost{Rows: in.Rows * fanout, Work: in.Work + in.Rows*fanout}
 
 	case *algebra.SetOp:
-		l := e.EstimateAccess(n.L, impl, par, access)
-		r := e.EstimateAccess(n.R, impl, par, access)
+		l := e.Estimate(n.L, impl, par, access)
+		r := e.Estimate(n.R, impl, par, access)
 		rows := l.Rows
 		switch n.Kind {
 		case algebra.SetUnion:
@@ -184,8 +166,8 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 }
 
 func (e *Estimator) estimateJoin(n *algebra.Join, impl JoinImpl, par int, access AccessPath) Cost {
-	l := e.EstimateAccess(n.L, impl, par, access)
-	r := e.EstimateAccess(n.R, impl, par, access)
+	l := e.Estimate(n.L, impl, par, access)
+	r := e.Estimate(n.R, impl, par, access)
 	lk, rk, _ := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
 	hashable := len(lk) > 0
 
@@ -230,8 +212,8 @@ func (e *Estimator) estimateJoin(n *algebra.Join, impl JoinImpl, par int, access
 }
 
 func (e *Estimator) estimateNestJoin(n *algebra.NestJoin, impl JoinImpl, par int, access AccessPath) Cost {
-	l := e.EstimateAccess(n.L, impl, par, access)
-	r := e.EstimateAccess(n.R, impl, par, access)
+	l := e.Estimate(n.L, impl, par, access)
+	r := e.Estimate(n.R, impl, par, access)
 	lk, rk, _ := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
 	hashable := len(lk) > 0
 
@@ -629,13 +611,13 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 }
 
 // ExplainCosts renders the plan with per-node logical cost annotations
-// (auto physical mapping). See ExplainPhysical for the physical rendering
-// the engine's EXPLAIN uses.
+// (auto physical mapping, serial, full scans). See Explain for the physical
+// rendering the engine's EXPLAIN uses.
 func (e *Estimator) ExplainCosts(p algebra.Plan) string {
 	var out string
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
-		c := e.Estimate(n)
+		c := e.Estimate(n, ImplAuto, 1, AccessScan)
 		for i := 0; i < depth; i++ {
 			out += "  "
 		}

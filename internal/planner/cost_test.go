@@ -21,7 +21,7 @@ func costEnv(t *testing.T) (*Estimator, *algebra.Builder) {
 func TestScanCardinalityFromStats(t *testing.T) {
 	est, b := costEnv(t)
 	x, _ := b.Scan("X")
-	c := est.Estimate(x)
+	c := est.Estimate(x, ImplAuto, 1, AccessScan)
 	// Seal dedup may remove a few duplicates; the estimate is the exact
 	// stored cardinality.
 	if c.Rows <= 0 || c.Rows > 100 {
@@ -36,7 +36,7 @@ func TestSelectionReducesRows(t *testing.T) {
 	est, b := costEnv(t)
 	x, _ := b.Scan("X")
 	sel, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	cx, cs := est.Estimate(x), est.Estimate(sel)
+	cx, cs := est.Estimate(x, ImplAuto, 1, AccessScan), est.Estimate(sel, ImplAuto, 1, AccessScan)
 	if cs.Rows >= cx.Rows {
 		t.Errorf("selection did not reduce rows: %v -> %v", cx.Rows, cs.Rows)
 	}
@@ -51,7 +51,7 @@ func TestHashCheaperThanNLEstimate(t *testing.T) {
 	z, _ := b.Scan("Z")
 	equi, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
 	theta, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b < z.d"))
-	ce, ct := est.Estimate(equi), est.Estimate(theta)
+	ce, ct := est.Estimate(equi, ImplAuto, 1, AccessScan), est.Estimate(theta, ImplAuto, 1, AccessScan)
 	if ce.Work >= ct.Work {
 		t.Errorf("equi-join should cost less than theta join: %v vs %v", ce, ct)
 	}
@@ -62,7 +62,7 @@ func TestNestJoinRowsEqualLeft(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	cx, cn := est.Estimate(x), est.Estimate(nj)
+	cx, cn := est.Estimate(x, ImplAuto, 1, AccessScan), est.Estimate(nj, ImplAuto, 1, AccessScan)
 	if cn.Rows != cx.Rows {
 		t.Errorf("nest join preserves left cardinality: %v vs %v", cn.Rows, cx.Rows)
 	}
@@ -74,7 +74,7 @@ func TestSemijoinCheaperThanNestJoinEstimate(t *testing.T) {
 	z, _ := b.Scan("Z")
 	semi, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	cs, cn := est.Estimate(semi), est.Estimate(nj)
+	cs, cn := est.Estimate(semi, ImplAuto, 1, AccessScan), est.Estimate(nj, ImplAuto, 1, AccessScan)
 	if cs.Work > cn.Work {
 		t.Errorf("semijoin estimate should not exceed nest join: %v vs %v", cs, cn)
 	}
@@ -95,7 +95,7 @@ func TestEstimateCoversAllOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []algebra.Plan{m, n, u, so, ev, oj} {
-		c := est.Estimate(p)
+		c := est.Estimate(p, ImplAuto, 1, AccessScan)
 		if c.Rows <= 0 || c.Work <= 0 {
 			t.Errorf("%s: degenerate estimate %v", p.Describe(), c)
 		}
@@ -108,7 +108,7 @@ func TestAndOrSelectivity(t *testing.T) {
 	a, _ := b.Select(x, "x", tmql.MustParse("x.b > 1"))
 	and, _ := b.Select(x, "x", tmql.MustParse("x.b > 1 AND x.b < 5"))
 	or, _ := b.Select(x, "x", tmql.MustParse("x.b > 1 OR x.b < 5"))
-	ca, cAnd, cOr := est.Estimate(a), est.Estimate(and), est.Estimate(or)
+	ca, cAnd, cOr := est.Estimate(a, ImplAuto, 1, AccessScan), est.Estimate(and, ImplAuto, 1, AccessScan), est.Estimate(or, ImplAuto, 1, AccessScan)
 	if !(cAnd.Rows < ca.Rows && ca.Rows < cOr.Rows) {
 		t.Errorf("selectivity ordering broken: and=%v single=%v or=%v",
 			cAnd.Rows, ca.Rows, cOr.Rows)

@@ -69,8 +69,8 @@ func TestIndexJoinCheaperThanHash(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	semi, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
-	hash := est.EstimatePhysical(semi, ImplHash)
-	idx := est.EstimatePhysical(semi, ImplIndex)
+	hash := est.Estimate(semi, ImplHash, 1, AccessScan)
+	idx := est.Estimate(semi, ImplIndex, 1, AccessScan)
 	if idx.Work >= hash.Work {
 		t.Errorf("idxjoin %v should be cheaper than hash %v", idx, hash)
 	}
@@ -79,11 +79,11 @@ func TestIndexJoinCheaperThanHash(t *testing.T) {
 	}
 	// Without a usable index the idxjoin family costs as its auto fallback.
 	semiC, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.c"))
-	if got, want := est.EstimatePhysical(semiC, ImplIndex), est.EstimatePhysical(semiC, ImplHash); got != want {
+	if got, want := est.Estimate(semiC, ImplIndex, 1, AccessScan), est.Estimate(semiC, ImplHash, 1, AccessScan); got != want {
 		t.Errorf("fallback cost %v differs from hash %v", got, want)
 	}
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	if ih, hh := est.EstimatePhysical(nj, ImplIndex), est.EstimatePhysical(nj, ImplHash); ih.Work >= hh.Work {
+	if ih, hh := est.Estimate(nj, ImplIndex, 1, AccessScan), est.Estimate(nj, ImplHash, 1, AccessScan); ih.Work >= hh.Work {
 		t.Errorf("index nest join %v should be cheaper than hash %v", ih, hh)
 	}
 }
@@ -95,7 +95,7 @@ func TestChooseEnumeratesIdxJoin(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	semi, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: semi}}, ImplAuto, 1)
+	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: semi}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestChooseEnumeratesIdxJoin(t *testing.T) {
 	}
 	// Without an index the family stays out of the enumeration.
 	semiC, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.c"))
-	_, all2, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: semiC}}, ImplAuto, 1)
+	_, all2, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: semiC}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestExplainRendersIdxOperators(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	semi, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
-	out := est.ExplainPhysicalPar(semi, ImplIndex, 1)
+	out := est.Explain(semi, ImplIndex, 1, AccessScan, 0)
 	if !strings.Contains(out, "IdxSemiJoin") || !strings.Contains(out, "using Z(d)") {
 		t.Errorf("index operator not rendered:\n%s", out)
 	}

@@ -25,7 +25,7 @@ func TestCompileParallelOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	it, err := New(ctx, Options{Joins: ImplHash, Parallelism: 4}).Compile(fj)
+	it, err := New(ctx, Options{Joins: ImplHash, Parallelism: 4}).CompileBatch(fj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCompileParallelOperators(t *testing.T) {
 		t.Errorf("ParHashJoin degree = %d, want 4", pj.Degree)
 	}
 
-	it, err = New(ctx, Options{Joins: ImplHash, Parallelism: 4}).Compile(nj)
+	it, err = New(ctx, Options{Joins: ImplHash, Parallelism: 4}).CompileBatch(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +43,37 @@ func TestCompileParallelOperators(t *testing.T) {
 		t.Errorf("nest join at par=4 compiled to %T, want *exec.ParHashNestJoin", it)
 	}
 
-	it, err = New(ctx, Options{Joins: ImplHash, Parallelism: 1}).Compile(nj)
+	it, err = New(ctx, Options{Joins: ImplHash, Parallelism: 1}).CompileBatch(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*exec.HashNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.HashNestJoin); !ok {
 		t.Errorf("nest join at par=1 compiled to %T, want *exec.HashNestJoin", it)
 	}
 
-	it, err = New(ctx, Options{Joins: ImplMerge, Parallelism: 4}).Compile(nj)
+	it, err = New(ctx, Options{Joins: ImplMerge, Parallelism: 4}).CompileBatch(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*exec.MergeNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.MergeNestJoin); !ok {
 		t.Errorf("merge nest join at par=4 compiled to %T, must stay serial", it)
 	}
 
-	it, err = New(ctx, Options{Joins: ImplNestedLoop, Parallelism: 4}).Compile(nj)
+	it, err = New(ctx, Options{Joins: ImplNestedLoop, Parallelism: 4}).CompileBatch(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.(*exec.NLNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.NLNestJoin); !ok {
 		t.Errorf("nested-loop nest join at par=4 compiled to %T, must stay serial", it)
 	}
+}
+
+// rowOperator unwraps a cold row operator from its RowsToBatch adapter.
+func rowOperator(it exec.BatchIterator) exec.Iterator {
+	if a, ok := it.(*exec.RowsToBatch); ok {
+		return a.It
+	}
+	return nil
 }
 
 // TestEstimateParallelCrossover pins the parallel cost model's shape: at the
@@ -75,8 +83,8 @@ func TestCompileParallelOperators(t *testing.T) {
 func TestEstimateParallelCrossover(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	serial := est.EstimatePhysical(plan, ImplHash)
-	par4 := est.EstimatePhysicalPar(plan, ImplHash, 4)
+	serial := est.Estimate(plan, ImplHash, 1, AccessScan)
+	par4 := est.Estimate(plan, ImplHash, 4, AccessScan)
 	if par4.Work >= serial.Work {
 		t.Errorf("par=4 should beat serial at this scale: serial=%v par=%v", serial.Work, par4.Work)
 	}
@@ -90,8 +98,8 @@ func TestEstimateParallelCrossover(t *testing.T) {
 	tiny := NewEstimator(db)
 	tb := algebra.NewBuilder(cat)
 	tplan := equiNestJoinPlan(t, tb)
-	tserial := tiny.EstimatePhysical(tplan, ImplHash)
-	tpar := tiny.EstimatePhysicalPar(tplan, ImplHash, 8)
+	tserial := tiny.Estimate(tplan, ImplHash, 1, AccessScan)
+	tpar := tiny.Estimate(tplan, ImplHash, 8, AccessScan)
 	if tpar.Work <= tserial.Work {
 		t.Errorf("tiny input: serial must stay cheapest: serial=%v par=%v", tserial.Work, tpar.Work)
 	}
@@ -103,7 +111,7 @@ func TestEstimateParallelCrossover(t *testing.T) {
 func TestChooseEnumeratesParallelDegrees(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 4)
+	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 4, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestChooseEnumeratesParallelDegrees(t *testing.T) {
 		t.Errorf("best = %s par=%d, want hash par=4 at this scale", best.Joins, best.Par)
 	}
 	// Serial cap: par=1 never enumerates degrees.
-	_, all1, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1)
+	_, all1, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: plan}}, ImplAuto, 1, AccessAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +148,16 @@ func TestChooseEnumeratesParallelDegrees(t *testing.T) {
 func TestExplainPhysicalParNames(t *testing.T) {
 	est, b := chooseEnv(t)
 	plan := equiNestJoinPlan(t, b)
-	out := est.ExplainPhysicalPar(plan, ImplHash, 4)
+	out := est.Explain(plan, ImplHash, 4, AccessScan, 0)
 	if !strings.Contains(out, "ParHashNestJoin") || !strings.Contains(out, "[4]") {
 		t.Errorf("parallel rendering:\n%s", out)
 	}
-	serial := est.ExplainPhysicalPar(plan, ImplHash, 1)
+	serial := est.Explain(plan, ImplHash, 1, AccessScan, 0)
 	if strings.Contains(serial, "Par") {
 		t.Errorf("serial rendering must not name parallel operators:\n%s", serial)
 	}
 	// Merge nest joins stay serial even at degree 4.
-	if out := est.ExplainPhysicalPar(plan, ImplMerge, 4); strings.Contains(out, "Par") {
+	if out := est.Explain(plan, ImplMerge, 4, AccessScan, 0); strings.Contains(out, "Par") {
 		t.Errorf("merge nest join rendering must stay serial:\n%s", out)
 	}
 }

@@ -71,10 +71,9 @@ type Options struct {
 	// and AccessScan compile full scans — under the cost-based engine path
 	// the chooser resolves AccessAuto before compilation.
 	Access AccessPath
-	// BatchSize is the rows-per-batch capacity CompileBatch builds vectorized
-	// operators with (0 = exec.DefaultBatchSize; capped at
-	// exec.MaxBatchSize). Compile ignores it — row-at-a-time plans are
-	// unchanged.
+	// BatchSize is the rows-per-batch capacity operators are compiled with
+	// (0 = exec.DefaultBatchSize; capped at exec.MaxBatchSize). 1 is the
+	// row-at-a-time ablation.
 	BatchSize int
 }
 
@@ -92,14 +91,31 @@ func New(ctx *exec.Ctx, opts Options) *Planner {
 	return &Planner{ctx: ctx, opts: opts}
 }
 
-// Compile turns a logical plan into a physical iterator tree.
+// Compile turns a logical plan into a row iterator: the batch plan of
+// CompileBatch behind a BatchToRows adapter. Cold row operators read their
+// inputs through it.
 func (p *Planner) Compile(plan algebra.Plan) (exec.Iterator, error) {
+	in, err := p.CompileBatch(plan)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.BatchToRows{In: in}, nil
+}
+
+// CompileBatch turns a logical plan into a physical batch-iterator tree using
+// Options.BatchSize rows per batch (0 = exec.DefaultBatchSize). Hot-path
+// nodes — scans, selections, maps, the hash join family — compile to
+// batch-native operators; the merge nest join builds its sorted runs
+// batch-natively and only re-enters the batch protocol for its merge output;
+// the remaining cold nodes (nesting, unnesting, set operations, NL/index
+// joins, index scans, the serial hash nest join) compile to row operators
+// over BatchToRows-adapted batched subtrees and are re-wrapped in
+// RowsToBatch, so a cold operator in the middle of a plan never forces the
+// subtree below it to row-at-a-time execution.
+func (p *Planner) CompileBatch(plan algebra.Plan) (exec.BatchIterator, error) {
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		return &exec.TableScan{Ctx: p.ctx, Table: n.Table}, nil
-
-	case *algebra.EvalNode:
-		return &exec.EvalScan{Ctx: p.ctx, Expr: n.Expr}, nil
+		return &exec.BatchTableScan{Ctx: p.ctx, Table: n.Table, Size: p.opts.BatchSize}, nil
 
 	case *algebra.Select:
 		if p.opts.Access == AccessIndex {
@@ -111,20 +127,20 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.Iterator, error) {
 			// No usable index on this selection (or it vanished before the
 			// resolve): scan fallback below.
 		}
-		in, err := p.Compile(n.In)
+		in, err := p.CompileBatch(n.In)
 		if err != nil {
 			return nil, err
 		}
-		return &exec.Filter{Ctx: p.ctx, In: in, Var: n.Var, Pred: n.Pred}, nil
+		return &exec.BatchFilter{Ctx: p.ctx, In: in, Var: n.Var, Pred: n.Pred}, nil
 
 	case *algebra.Map:
-		in, err := p.Compile(n.In)
+		in, err := p.CompileBatch(n.In)
 		if err != nil {
 			return nil, err
 		}
 		// Map may collapse distinct inputs onto one value; a Distinct keeps
 		// set semantics downstream.
-		return &exec.Distinct{Ctx: p.ctx, In: &exec.MapIter{Ctx: p.ctx, In: in, Var: n.Var, Out: n.Out}}, nil
+		return &exec.BatchDistinct{Ctx: p.ctx, In: &exec.BatchMap{Ctx: p.ctx, In: in, Var: n.Var, Out: n.Out}}, nil
 
 	case *algebra.Join:
 		return p.compileJoin(n)
@@ -132,19 +148,22 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.Iterator, error) {
 	case *algebra.NestJoin:
 		return p.compileNestJoin(n)
 
+	case *algebra.EvalNode:
+		return p.rowsToBatch(&exec.EvalScan{Ctx: p.ctx, Expr: n.Expr}), nil
+
 	case *algebra.Nest:
 		in, err := p.Compile(n.In)
 		if err != nil {
 			return nil, err
 		}
-		return &exec.NestIter{Ctx: p.ctx, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, nil
+		return p.rowsToBatch(&exec.NestIter{Ctx: p.ctx, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}), nil
 
 	case *algebra.Unnest:
 		in, err := p.Compile(n.In)
 		if err != nil {
 			return nil, err
 		}
-		return &exec.UnnestIter{Ctx: p.ctx, In: in, Attr: n.Attr, Scalar: n.Scalar()}, nil
+		return p.rowsToBatch(&exec.UnnestIter{Ctx: p.ctx, In: in, Attr: n.Attr, Scalar: n.Scalar()}), nil
 
 	case *algebra.SetOp:
 		l, err := p.Compile(n.L)
@@ -155,35 +174,39 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &exec.SetOpIter{Ctx: p.ctx, Kind: int(n.Kind), L: l, R: r}, nil
+		return p.rowsToBatch(&exec.SetOpIter{Ctx: p.ctx, Kind: int(n.Kind), L: l, R: r}), nil
 	}
 	return nil, fmt.Errorf("planner: unhandled plan node %T", plan)
 }
 
-func (p *Planner) compileJoin(n *algebra.Join) (exec.Iterator, error) {
-	l, err := p.Compile(n.L)
-	if err != nil {
-		return nil, err
-	}
+// rowsToBatch re-enters the batch protocol above a row operator.
+func (p *Planner) rowsToBatch(it exec.Iterator) exec.BatchIterator {
+	return &exec.RowsToBatch{It: it, Size: p.opts.BatchSize}
+}
+
+// compileJoin compiles a flat join: hash-family joins are batch-native
+// (BatchHashJoin, or ParHashJoin at degrees >= 2), index and nested-loop
+// joins stay row operators behind adapters.
+func (p *Planner) compileJoin(n *algebra.Join) (exec.BatchIterator, error) {
 	lk, rk, residual := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
 	if p.opts.Joins == ImplIndex {
 		if pr, ok := FindIndexProbe(n.R, n.RVar, rk, p.liveIndexes); ok {
 			if ix, live := p.resolveIndex(pr.Table, pr.Name()); live {
-				return &exec.IndexJoin{
+				l, err := p.Compile(n.L)
+				if err != nil {
+					return nil, err
+				}
+				return p.rowsToBatch(&exec.IndexJoin{
 					Ctx: p.ctx, Kind: n.Kind, L: l,
 					Table: pr.Table, Index: pr.Name(), Ix: ix,
 					LVar: n.LVar, RVar: n.RVar,
 					LKeys:    probeLKeys(lk, pr),
 					Residual: indexResidual(lk, rk, pr, residual),
 					RElem:    n.R.Elem(),
-				}, nil
+				}), nil
 			}
 		}
 		// No usable index on this operator: auto fallback below.
-	}
-	r, err := p.Compile(n.R)
-	if err != nil {
-		return nil, err
 	}
 	useHash := len(lk) > 0
 	switch p.opts.Joins {
@@ -196,51 +219,67 @@ func (p *Planner) compileJoin(n *algebra.Join) (exec.Iterator, error) {
 		useHash = true
 	}
 	if !useHash {
-		return &exec.NLJoin{
+		l, err := p.Compile(n.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.Compile(n.R)
+		if err != nil {
+			return nil, err
+		}
+		return p.rowsToBatch(&exec.NLJoin{
 			Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
 			LVar: n.LVar, RVar: n.RVar, Pred: n.Pred, RElem: n.R.Elem(),
-		}, nil
+		}), nil
+	}
+	bl, err := p.CompileBatch(n.L)
+	if err != nil {
+		return nil, err
+	}
+	br, err := p.CompileBatch(n.R)
+	if err != nil {
+		return nil, err
 	}
 	if p.opts.parallel() {
 		return &exec.ParHashJoin{
-			Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
+			Ctx: p.ctx, Kind: n.Kind, L: bl, R: br,
 			LVar: n.LVar, RVar: n.RVar,
 			LKeys: lk, RKeys: rk, Residual: residual, RElem: n.R.Elem(),
-			Degree: p.opts.Parallelism,
+			Degree: p.opts.Parallelism, BatchSize: p.opts.BatchSize,
 		}, nil
 	}
-	return &exec.HashJoin{
-		Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
+	return &exec.BatchHashJoin{
+		Ctx: p.ctx, Kind: n.Kind, L: bl, R: br,
 		LVar: n.LVar, RVar: n.RVar,
 		LKeys: lk, RKeys: rk, Residual: residual, RElem: n.R.Elem(),
 	}, nil
 }
 
-func (p *Planner) compileNestJoin(n *algebra.NestJoin) (exec.Iterator, error) {
-	l, err := p.Compile(n.L)
-	if err != nil {
-		return nil, err
-	}
+// compileNestJoin compiles a nest join: the parallel hash nest join
+// consumes batches natively (through the exchange), the merge nest join
+// builds its sorted runs batch-natively, and the remaining serial forms are
+// row operators over batched subtrees.
+func (p *Planner) compileNestJoin(n *algebra.NestJoin) (exec.BatchIterator, error) {
 	lk, rk, residual := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
 	impl := p.opts.Joins
 	if impl == ImplIndex {
 		if pr, ok := FindIndexProbe(n.R, n.RVar, rk, p.liveIndexes); ok {
 			if ix, live := p.resolveIndex(pr.Table, pr.Name()); live {
-				return &exec.IndexNestJoin{
+				l, err := p.Compile(n.L)
+				if err != nil {
+					return nil, err
+				}
+				return p.rowsToBatch(&exec.IndexNestJoin{
 					Ctx: p.ctx, L: l,
 					Table: pr.Table, Index: pr.Name(), Ix: ix,
 					LVar: n.LVar, RVar: n.RVar,
 					LKeys:    probeLKeys(lk, pr),
 					Residual: indexResidual(lk, rk, pr, residual),
 					Fn:       n.Fn, Label: n.Label,
-				}, nil
+				}), nil
 			}
 		}
 		impl = ImplAuto // no usable index on this operator
-	}
-	r, err := p.Compile(n.R)
-	if err != nil {
-		return nil, err
 	}
 	if impl == ImplAuto {
 		if len(lk) > 0 {
@@ -253,30 +292,59 @@ func (p *Planner) compileNestJoin(n *algebra.NestJoin) (exec.Iterator, error) {
 		return nil, fmt.Errorf("planner: %s nest join requested but no equi-key in %s",
 			impl, tmql.Format(n.Pred))
 	}
-	switch impl {
-	case ImplNestedLoop:
-		return &exec.NLNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-			Pred: n.Pred, Fn: n.Fn, Label: n.Label,
-		}, nil
-	case ImplMerge:
-		return &exec.MergeNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
-		}, nil
-	default:
-		if p.opts.parallel() {
-			return &exec.ParHashNestJoin{
-				Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-				LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
-				Degree: p.opts.Parallelism,
-			}, nil
+	if impl == ImplHash && p.opts.parallel() {
+		bl, err := p.CompileBatch(n.L)
+		if err != nil {
+			return nil, err
 		}
-		return &exec.HashNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
+		br, err := p.CompileBatch(n.R)
+		if err != nil {
+			return nil, err
+		}
+		return &exec.ParHashNestJoin{
+			Ctx: p.ctx, L: bl, R: br, LVar: n.LVar, RVar: n.RVar,
 			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
+			Degree: p.opts.Parallelism, BatchSize: p.opts.BatchSize,
 		}, nil
 	}
+	if impl == ImplMerge {
+		// The merge nest join's sort builds consume batches natively; only
+		// its output re-enters the batch protocol through an adapter.
+		bl, err := p.CompileBatch(n.L)
+		if err != nil {
+			return nil, err
+		}
+		br, err := p.CompileBatch(n.R)
+		if err != nil {
+			return nil, err
+		}
+		return p.rowsToBatch(&exec.MergeNestJoin{
+			Ctx: p.ctx, L: bl, R: br, LVar: n.LVar, RVar: n.RVar,
+			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
+		}), nil
+	}
+	l, err := p.Compile(n.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := p.Compile(n.R)
+	if err != nil {
+		return nil, err
+	}
+	var it exec.Iterator
+	switch impl {
+	case ImplNestedLoop:
+		it = &exec.NLNestJoin{
+			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
+			Pred: n.Pred, Fn: n.Fn, Label: n.Label,
+		}
+	default:
+		it = &exec.HashNestJoin{
+			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
+			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
+		}
+	}
+	return p.rowsToBatch(it), nil
 }
 
 // ExtractEquiKeys splits a join predicate over (lvar, rvar) into equi-key

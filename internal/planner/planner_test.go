@@ -59,7 +59,7 @@ func TestSplitJoinConjuncts(t *testing.T) {
 }
 
 // compile builds a small nest-join plan and compiles it under the impl.
-func compileNJ(t *testing.T, impl JoinImpl, pred string) (exec.Iterator, *exec.Ctx) {
+func compileNJ(t *testing.T, impl JoinImpl, pred string) (exec.BatchIterator, *exec.Ctx) {
 	t.Helper()
 	cat, db := datagen.XYZ(datagen.DefaultSpec())
 	b := algebra.NewBuilder(cat)
@@ -70,7 +70,7 @@ func compileNJ(t *testing.T, impl JoinImpl, pred string) (exec.Iterator, *exec.C
 		t.Fatal(err)
 	}
 	ctx := exec.NewCtx(db)
-	it, err := New(ctx, Options{Joins: impl}).Compile(nj)
+	it, err := New(ctx, Options{Joins: impl}).CompileBatch(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestNestJoinImplEquivalence(t *testing.T) {
 	var want value.Value
 	for i, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplAuto} {
 		it, _ := compileNJ(t, impl, "x.b = y.b")
-		got, err := exec.Collect(it)
+		got, err := exec.CollectBatches(it)
 		if err != nil {
 			t.Fatalf("%s: %v", impl, err)
 		}
@@ -98,15 +98,15 @@ func TestNestJoinImplEquivalence(t *testing.T) {
 func TestPhysicalChoice(t *testing.T) {
 	// Equi predicate + auto → hash; non-equi + auto → nested loop.
 	it, _ := compileNJ(t, ImplAuto, "x.b = y.b")
-	if _, ok := it.(*exec.HashNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.HashNestJoin); !ok {
 		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin", it)
 	}
 	it, _ = compileNJ(t, ImplAuto, "x.b < y.b")
-	if _, ok := it.(*exec.NLNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.NLNestJoin); !ok {
 		t.Errorf("auto without equi-key compiled to %T, want NLNestJoin", it)
 	}
 	it, _ = compileNJ(t, ImplMerge, "x.b = y.b")
-	if _, ok := it.(*exec.MergeNestJoin); !ok {
+	if _, ok := rowOperator(it).(*exec.MergeNestJoin); !ok {
 		t.Errorf("merge compiled to %T", it)
 	}
 }

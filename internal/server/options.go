@@ -27,8 +27,8 @@ type WireOptions struct {
 	// NoSteal disables work stealing in the morsel scheduler (ablation /
 	// diagnostics; results are identical either way).
 	NoSteal bool `json:"no_steal,omitempty"`
-	// BatchSize: 0 = planner default (cost-chosen), n > 0 = vectorized
-	// execution at n rows per batch, -1 = row-at-a-time.
+	// BatchSize: 0 = the default batch size, n > 0 = n rows per batch,
+	// -1 = one row per batch (the row-at-a-time ablation).
 	BatchSize int `json:"batch_size,omitempty"`
 	// Rewrite pins the §6-rewritten logical alternative.
 	Rewrite bool `json:"rewrite,omitempty"`

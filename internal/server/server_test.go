@@ -196,8 +196,8 @@ func TestBatchSizeOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Batch != 0 {
-		t.Fatalf("row-pinned response batch = %d, want 0", row.Batch)
+	if row.Batch != 1 {
+		t.Fatalf("batch_size -1 response batch = %d, want 1", row.Batch)
 	}
 	bat, err := c.Query(q, &WireOptions{Joins: "hash", BatchSize: 256})
 	if err != nil {
@@ -208,6 +208,37 @@ func TestBatchSizeOverWire(t *testing.T) {
 	}
 	if !bytes.Equal(row.Result, bat.Result) {
 		t.Fatalf("batched result diverged from row result:\n  row:   %s\n  batch: %s", row.Result, bat.Result)
+	}
+}
+
+// TestBatchSizeMinusOneRunsAtOne: the wire's batch_size -1 (what
+// workloads/cache_churn.json sends) is accepted on sessions and per request
+// and runs the batch-1 row ablation, while -2 stays a bad option.
+func TestBatchSizeMinusOneRunsAtOne(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	c := NewClient(hs.URL, hs.Client())
+	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
+	def, err := c.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, err := c.NewSession(WireOptions{BatchSize: -1})
+	if err != nil {
+		t.Fatalf("session with batch_size -1 rejected: %v", err)
+	}
+	c.SessionID = sid
+	one, err := c.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Batch != 1 {
+		t.Errorf("session batch_size -1 ran at batch %d, want 1", one.Batch)
+	}
+	if !bytes.Equal(one.Result, def.Result) {
+		t.Errorf("batch-1 result diverged from the default batch size:\n  1:       %s\n  default: %s", one.Result, def.Result)
+	}
+	if _, err := c.Query(q, &WireOptions{BatchSize: -2}); err == nil {
+		t.Error("batch_size -2 accepted")
 	}
 }
 

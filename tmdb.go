@@ -41,13 +41,14 @@
 //     (morsels dispatched/stolen, busy time) surface on Result.Sched, and
 //     results are bit-identical to serial execution at any degree and any
 //     steal schedule;
-//   - vectorized batch execution: the hot path (scans, filters, projections,
-//     hash joins, and the parallel exchange) moves rows in batches of up to
-//     Options.BatchSize with pre-encoded join keys, costed against
-//     row-at-a-time execution as a physical dimension (0 lets the cost model
-//     decide, n > 0 pins batches of n, negative pins rows); results are
-//     byte-identical to the row engine and EXPLAIN annotates batched
-//     operators with [batch=n];
+//   - vectorized batch execution, the one operator protocol: the hot path
+//     (scans, filters, projections, hash joins, and the parallel exchange)
+//     moves rows in batches of up to Options.BatchSize (0 = the default
+//     size, n > 0 = n, negative = 1, the row-at-a-time ablation) through
+//     compiled row programs with pre-encoded join keys; cold operators run
+//     row by row behind adapters. Results and EvalSteps (compiled programs
+//     count the steps the evaluator would) are identical at every batch
+//     size, and EXPLAIN annotates batch-native operators with [batch=n];
 //   - mutable storage with per-table invalidation: tables are bulk-loaded,
 //     sealed, and then mutated in place (Engine.Insert / Engine.Delete /
 //     Engine.InsertValue / Engine.DeleteValue, or the storage-level
