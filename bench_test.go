@@ -489,3 +489,38 @@ func BenchmarkB8IndexScan(b *testing.B) {
 		})
 	}
 }
+
+// --- Write path: one-row mutations followed by the replanning read. Every
+// sealed write advances Y's epoch, so the next read recollects Y's
+// statistics and misses the plan cache. This times what a write costs end
+// to end: the copy-on-write row snapshot and set view, index maintenance,
+// the statistics recollection and the replan. Not gated; the "Bench smoke"
+// CI step runs it once. ---
+
+func BenchmarkMutationReplan(b *testing.B) {
+	const marker = -1000000007
+	cat, db := datagen.XYZ(datagen.Spec{
+		NX: 16, NY: 6000, NZ: 16, Keys: 600, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1,
+	})
+	eng := tmdb.New(cat, db)
+	if err := eng.CreateIndex("Y", "b"); err != nil {
+		b.Fatal(err)
+	}
+	eng.Analyze()
+	row := fmt.Sprintf("(a = 0, b = 3, c = {0}, d = %d)", marker)
+	pred := fmt.Sprintf("y.d = %d", marker)
+	const q = `SELECT y FROM Y y WHERE y.b = 3`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if added, err := eng.Insert("Y", row); err != nil || !added {
+			b.Fatalf("insert: added=%v err=%v", added, err)
+		}
+		if n, err := eng.Delete("Y", "y", pred); err != nil || n != 1 {
+			b.Fatalf("delete: removed %d err=%v", n, err)
+		}
+		if _, err := eng.Query(q, engine.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

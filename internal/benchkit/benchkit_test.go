@@ -107,3 +107,25 @@ func TestAllExperimentsQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestB5RowOrder pins B5's row order: per size, the two-block chain and then
+// the three-block one. A two-entry Go map iterates in either order, the
+// reversed one in roughly one run of eight, so many runs guard against an
+// order that only holds by chance.
+func TestB5RowOrder(t *testing.T) {
+	for run := 0; run < 40; run++ {
+		var buf bytes.Buffer
+		if err := RunB5(&buf, true); err != nil {
+			t.Fatal(err)
+		}
+		var blocks []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "30" {
+				blocks = append(blocks, f[1])
+			}
+		}
+		if strings.Join(blocks, ",") != "2,3" {
+			t.Fatalf("run %d: B5 rows have blocks %v, want [2 3]:\n%s", run, blocks, buf.String())
+		}
+	}
+}

@@ -545,7 +545,11 @@ func RunB5(w io.Writer, quick bool) error {
 			NX: n, NY: 2 * n, NZ: 2 * n, Keys: n / 4, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 13,
 		})
 		eng := engine.New(cat, db)
-		for blocks, q := range map[int]string{2: q2, 3: q3} {
+		for _, c := range []struct {
+			blocks int
+			q      string
+		}{{2, q2}, {3, q3}} {
+			blocks, q := c.blocks, c.q
 			naive := Measure(eng, q, core.StrategyNaive, planner.ImplAuto, 1)
 			nj := Measure(eng, q, core.StrategyNestJoin, planner.ImplAuto, 3)
 			out.Add(n, blocks, naive.Duration, nj.Duration,

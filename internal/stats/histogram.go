@@ -1,8 +1,8 @@
 package stats
 
 import (
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"tmdb/internal/value"
@@ -53,10 +53,24 @@ type Histogram struct {
 // buildHistogram sorts vals in place and splits them into at most nb
 // equi-depth buckets. nil is returned for empty input.
 func buildHistogram(vals []value.Value, nb int) *Histogram {
+	slices.SortFunc(vals, value.Compare)
+	return equiDepth(vals, nb, value.Equal, func(v value.Value) value.Value { return v })
+}
+
+// buildIntHistogram is buildHistogram for an all-int column: it sorts the
+// raw payloads, whose order and equality are Compare's on value.Int, so the
+// buckets are the ones buildHistogram builds from the same values.
+func buildIntHistogram(vals []int64, nb int) *Histogram {
+	slices.Sort(vals)
+	return equiDepth(vals, nb, func(a, b int64) bool { return a == b }, value.Int)
+}
+
+// equiDepth splits sorted vals into at most nb equi-depth buckets; eq is
+// value equality and wrap turns a sample into a bucket bound.
+func equiDepth[T any](vals []T, nb int, eq func(a, b T) bool, wrap func(T) value.Value) *Histogram {
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Slice(vals, func(i, j int) bool { return value.Less(vals[i], vals[j]) })
 	if nb < 1 {
 		nb = 1
 	}
@@ -69,12 +83,12 @@ func buildHistogram(vals []value.Value, nb int) *Histogram {
 		}
 		// Never split a run of equal values across buckets: extend the bucket
 		// to the end of the run so EstimateEq sees each value exactly once.
-		for end < len(vals) && value.Equal(vals[end-1], vals[end]) {
+		for end < len(vals) && eq(vals[end-1], vals[end]) {
 			end++
 		}
-		b := Bucket{Lo: vals[start], Hi: vals[end-1], Count: end - start, Distinct: 1}
+		b := Bucket{Lo: wrap(vals[start]), Hi: wrap(vals[end-1]), Count: end - start, Distinct: 1}
 		for i := start + 1; i < end; i++ {
-			if !value.Equal(vals[i-1], vals[i]) {
+			if !eq(vals[i-1], vals[i]) {
 				b.Distinct++
 			}
 		}
@@ -193,8 +207,8 @@ func coverFrac(b Bucket, lo, hi value.Value) float64 {
 	}
 	if b.Lo.Kind() == value.KindInt && b.Hi.Kind() == value.KindInt {
 		width := bh - bl + 1
-		upTo := math.Min(width, math.Floor(hf)-bl+1)  // values <= hi
-		below := math.Max(0, math.Ceil(lf)-bl)        // values < lo
+		upTo := math.Min(width, math.Floor(hf)-bl+1) // values <= hi
+		below := math.Max(0, math.Ceil(lf)-bl)       // values < lo
 		return math.Max(0, math.Min(1, (upTo-below)/width))
 	}
 	if bh == bl {
@@ -257,21 +271,33 @@ func newDistinctSketch(k int) *distinctSketch {
 	return &distinctSketch{k: k, seen: make(map[uint64]bool, k)}
 }
 
-// Add feeds one value key into the sketch.
-func (s *distinctSketch) Add(key string) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
+// FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Add feeds one value key (value.AppendKey's encoding) into the sketch.
+func (s *distinctSketch) Add(key []byte) {
+	h := uint64(fnvOffset64)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
 	// FNV alone is visibly non-uniform on short sequential keys, which biases
 	// the order statistics KMV relies on; a splitmix64-style finalizer fixes
 	// the avalanche.
-	hv := mix64(h.Sum64())
+	hv := mix64(h)
+	// A full sketch rejects anything not below its largest kept hash; that
+	// test comes first because it settles most adds without the map.
+	full := len(s.mins) == s.k
+	if full && hv >= s.mins[len(s.mins)-1] {
+		return
+	}
 	if s.seen[hv] {
 		return
 	}
-	if len(s.mins) == s.k {
-		if hv >= s.mins[len(s.mins)-1] {
-			return
-		}
+	if full {
 		delete(s.seen, s.mins[len(s.mins)-1])
 		s.mins = s.mins[:len(s.mins)-1]
 	}

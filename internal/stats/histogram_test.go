@@ -212,7 +212,7 @@ func TestHistogramAllDistinctColumn(t *testing.T) {
 func TestDistinctSketchExactBelowCapacity(t *testing.T) {
 	s := newDistinctSketch(sketchK)
 	for i := 0; i < 100; i++ {
-		s.Add(fmt.Sprintf("k%d", i%50))
+		s.Add([]byte(fmt.Sprintf("k%d", i%50)))
 	}
 	if got := s.Estimate(); got != 50 {
 		t.Errorf("below-capacity sketch must be exact: %d", got)

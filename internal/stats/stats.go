@@ -296,80 +296,138 @@ func (c *Catalog) table(name string) *TableStats {
 	if tab == nil {
 		return s
 	}
+	rows := tab.Rows()
 	s.Epoch = epoch
-	s.Card = tab.Len()
+	s.Card = len(rows)
 	s.Approx = s.Card > c.exactThreshold
-	setLen := make(map[string]int)
-	setCnt := make(map[string]int)
-	scalars := make(map[string][]value.Value)
+	if s.Approx {
+		s.keys = nil
+	}
 	// Histogram collection memory is bounded: above the cap only every
 	// stride-th row feeds the histograms (sketches and set counters still see
-	// every row). Row order is insertion order, uncorrelated with attribute
-	// values, so the stride behaves as a uniform sample; all histogram
-	// figures are fractions of Total and stay scale-free.
+	// every row). A sealed table's rows are in canonical value order (Seal
+	// sorts the tuples by their label-ordered attribute values), so the
+	// stride is a systematic sample along that order, not a uniform random
+	// one: it spreads evenly over the leading attribute's quantiles, and its
+	// picks of the other attributes follow where they sort within each run
+	// of equal leading values. All histogram figures are fractions of Total
+	// and stay scale-free.
 	stride := 1
 	if s.Card > histogramSampleCap {
 		stride = (s.Card + histogramSampleCap - 1) / histogramSampleCap
 	}
-	var sketches map[string]*distinctSketch
-	if s.Approx {
-		s.keys = nil
-		sketches = make(map[string]*distinctSketch)
-	}
-	for i, r := range tab.Rows() {
+	// cols caches each field position's column, so a table whose rows share
+	// one tuple type looks a label up once, not once per row.
+	var cols []*column
+	byLabel := make(map[string]*column)
+	var key []byte
+	for i := range rows {
+		r := &rows[i]
 		if r.Kind() != value.KindTuple {
 			continue
 		}
 		sampled := i%stride == 0
-		for _, f := range r.Fields() {
+		fs := r.Fields()
+		for j := range fs {
+			f := &fs[j]
+			if j >= len(cols) {
+				cols = append(cols, nil)
+			}
+			col := cols[j]
+			if col == nil || col.label != f.Label {
+				col = byLabel[f.Label]
+				if col == nil {
+					col = newColumn(f.Label, s.Approx)
+					byLabel[f.Label] = col
+				}
+				cols[j] = col
+			}
+			key = value.AppendKey(key[:0], f.V)
 			if s.Approx {
-				sk, ok := sketches[f.Label]
-				if !ok {
-					sk = newDistinctSketch(sketchK)
-					sketches[f.Label] = sk
-				}
-				sk.Add(value.Key(f.V))
-			} else {
-				m, ok := s.keys[f.Label]
-				if !ok {
-					m = make(map[string]bool)
-					s.keys[f.Label] = m
-				}
-				m[value.Key(f.V)] = true
+				col.sketch.Add(key)
+			} else if !col.keys[string(key)] {
+				col.keys[string(key)] = true
 			}
 			switch f.V.Kind() {
 			case value.KindSet:
-				setLen[f.Label] += f.V.Len()
-				setCnt[f.Label]++
+				col.setLen += f.V.Len()
+				col.setCnt++
 			case value.KindTuple, value.KindList:
 				// not histogrammed
 			default:
 				if sampled {
-					scalars[f.Label] = append(scalars[f.Label], f.V)
+					col.addScalar(&f.V)
 				}
 			}
 		}
 	}
-	if s.Approx {
-		for l, sk := range sketches {
-			s.Distinct[l] = sk.Estimate()
+	for l, col := range byLabel {
+		if s.Approx {
+			s.Distinct[l] = col.sketch.Estimate()
+		} else {
+			s.keys[l] = col.keys
+			s.Distinct[l] = len(col.keys)
 		}
-	} else {
-		for l, m := range s.keys {
-			s.Distinct[l] = len(m)
-		}
-	}
-	for l, vals := range scalars {
-		if h := buildHistogram(vals, defaultBuckets); h != nil {
+		if h := col.histogram(); h != nil {
 			s.Hist[l] = h
 		}
-	}
-	for l, n := range setCnt {
-		if n > 0 {
-			s.AvgSetLen[l] = float64(setLen[l]) / float64(n)
+		if col.setCnt > 0 {
+			s.AvgSetLen[l] = float64(col.setLen) / float64(col.setCnt)
 		}
 	}
 	return s
+}
+
+// column accumulates one attribute's statistics during a table scan.
+type column struct {
+	label string
+	// keys is the exact set of value keys (exact path); sketch estimates
+	// their number (approximate path).
+	keys   map[string]bool
+	sketch *distinctSketch
+	// setLen and setCnt total the cardinalities of set values and count them.
+	setLen, setCnt int
+	// The sampled scalar values: ints holds them while every one is an int,
+	// vals (non-nil from then on) once any is not — Compare equates 1 and
+	// 1.0, so a mixed numeric column must be ordered by Compare, not by the
+	// int payloads.
+	ints []int64
+	vals []value.Value
+}
+
+func newColumn(label string, approx bool) *column {
+	c := &column{label: label}
+	if approx {
+		c.sketch = newDistinctSketch(sketchK)
+	} else {
+		c.keys = make(map[string]bool)
+	}
+	return c
+}
+
+// addScalar records one sampled scalar value, keeping the samples in
+// arrival order whichever slice holds them.
+func (c *column) addScalar(v *value.Value) {
+	if c.vals == nil {
+		if v.Kind() == value.KindInt {
+			c.ints = append(c.ints, v.AsInt())
+			return
+		}
+		c.vals = make([]value.Value, 0, len(c.ints)+1)
+		for _, x := range c.ints {
+			c.vals = append(c.vals, value.Int(x))
+		}
+		c.ints = nil
+	}
+	c.vals = append(c.vals, *v)
+}
+
+// histogram builds the column's histogram, or nil without samples.
+func (c *column) histogram() *Histogram {
+	if c.vals != nil {
+		return buildHistogram(c.vals, defaultBuckets)
+	}
+	return buildIntHistogram(c.ints, defaultBuckets)
 }
 
 // Selectivity estimates equi-predicate selectivity of attr on table.
@@ -416,12 +474,16 @@ func (c *Catalog) DanglingFrac(lTable, lAttr, rTable, rAttr string) float64 {
 		return def
 	}
 	dangling := 0
+	var buf []byte
 	for _, r := range tab.Rows() {
 		if r.Kind() != value.KindTuple {
 			continue
 		}
 		f, ok := r.Get(lAttr)
-		if !ok || !rKeys[value.Key(f)] {
+		if ok {
+			buf = value.AppendKey(buf[:0], f)
+		}
+		if !ok || !rKeys[string(buf)] {
 			dangling++
 		}
 	}

@@ -19,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -109,6 +110,8 @@ func (t *Table) MustInsert(v value.Value) {
 // registered index. The set view is materialized here rather than lazily in
 // AsSet so that sealed snapshots are immutable — parallel join workers may
 // evaluate table references concurrently, and a lazy cache fill would race.
+// The view shares the sorted, duplicate-free row snapshot (see
+// value.SetOfCanonical), so sealing sorts once and copies nothing more.
 //
 // Sorting and deduplication work on a fresh copy of the row slice: a snapshot
 // handed out by Rows before this Seal (e.g. to a query running concurrently
@@ -121,21 +124,34 @@ func (t *Table) Seal() {
 		return
 	}
 	rows := append(make([]value.Value, 0, len(t.rows)), t.rows...)
-	sort.Slice(rows, func(i, j int) bool { return value.Less(rows[i], rows[j]) })
+	slices.SortFunc(rows, value.Compare)
 	out := rows[:0]
 	for i, r := range rows {
 		if i == 0 || !value.Equal(r, out[len(out)-1]) {
 			out = append(out, r)
 		}
 	}
-	t.rows = out
 	t.sealed = true
-	s := value.SetOf(t.rows...)
-	t.asSet = &s
-	t.epoch++
+	t.publishLocked(out)
 	for name, ix := range t.indexes {
 		t.indexes[name] = t.buildIndexLocked(ix.Attrs())
 	}
+}
+
+// publishLocked installs rows — strictly increasing under value.Compare and
+// never edited afterwards — as the sealed table's row snapshot, shares it as
+// the set view, and advances the epoch. Caller holds the write lock.
+func (t *Table) publishLocked(rows []value.Value) {
+	t.rows = rows
+	s := value.SetOfCanonical(rows)
+	t.asSet = &s
+	t.epoch++
+}
+
+// search returns the position of v in the sealed row order and whether
+// the row there equals v. Caller holds the lock.
+func (t *Table) search(v value.Value) (int, bool) {
+	return slices.BinarySearchFunc(t.rows, v, value.Compare)
 }
 
 // Unseal reopens the table for bulk loading: the set view and indexes go
@@ -167,18 +183,15 @@ func (t *Table) InsertSealed(v value.Value) (bool, error) {
 	if !types.Check(v, t.elem) {
 		return false, fmt.Errorf("storage: value %s does not conform to %s element type %s", v, t.name, t.elem)
 	}
-	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-	if i < len(t.rows) && value.Equal(t.rows[i], v) {
+	i, found := t.search(v)
+	if found {
 		return false, nil // already present
 	}
 	rows := make([]value.Value, 0, len(t.rows)+1)
 	rows = append(rows, t.rows[:i]...)
 	rows = append(rows, v)
 	rows = append(rows, t.rows[i:]...)
-	t.rows = rows
-	s := value.SetOf(rows...)
-	t.asSet = &s
-	t.epoch++
+	t.publishLocked(rows)
 	for _, ix := range t.indexes {
 		if !ix.Add(v) {
 			// The value typechecked, so a registered attribute must exist;
@@ -198,11 +211,11 @@ func (t *Table) Delete(v value.Value) (bool, error) {
 	if !t.sealed {
 		return false, fmt.Errorf("storage: table %s is not sealed", t.name)
 	}
-	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-	if i >= len(t.rows) || !value.Equal(t.rows[i], v) {
+	i, found := t.search(v)
+	if !found {
 		return false, nil
 	}
-	t.removeRowsLocked(map[int]bool{i: true})
+	t.removeRowsLocked([]int{i})
 	return true, nil
 }
 
@@ -217,16 +230,17 @@ func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 	if !t.sealed {
 		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
 	}
-	victims := make(map[int]bool)
+	var victims []int
 	for _, v := range vs {
-		i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-		if i < len(t.rows) && value.Equal(t.rows[i], v) {
-			victims[i] = true
+		if i, found := t.search(v); found {
+			victims = append(victims, i)
 		}
 	}
 	if len(victims) == 0 {
 		return 0, nil
 	}
+	slices.Sort(victims)
+	victims = slices.Compact(victims)
 	t.removeRowsLocked(victims)
 	return len(victims), nil
 }
@@ -242,10 +256,10 @@ func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
 	if !t.sealed {
 		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
 	}
-	victims := make(map[int]bool)
+	var victims []int
 	for i, r := range t.rows {
 		if pred(r) {
-			victims[i] = true
+			victims = append(victims, i)
 		}
 	}
 	if len(victims) == 0 {
@@ -255,24 +269,23 @@ func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
 	return len(victims), nil
 }
 
-// removeRowsLocked drops the rows at the given indices (copy-on-write),
-// refreshes the set view, removes the victims from every index, and advances
-// the epoch. Caller holds the write lock on a sealed table.
-func (t *Table) removeRowsLocked(victims map[int]bool) {
+// removeRowsLocked drops the rows at the given strictly increasing indices
+// (copy-on-write: the kept runs between victims are copied into a new
+// snapshot, which stays in canonical order), removes the victims from every
+// index, and publishes the snapshot. Caller holds the write lock on a
+// sealed table.
+func (t *Table) removeRowsLocked(victims []int) {
 	rows := make([]value.Value, 0, len(t.rows)-len(victims))
-	for i, r := range t.rows {
-		if victims[i] {
-			for _, ix := range t.indexes {
-				ix.Remove(r)
-			}
-			continue
+	prev := 0
+	for _, i := range victims {
+		rows = append(rows, t.rows[prev:i]...)
+		for _, ix := range t.indexes {
+			ix.Remove(t.rows[i])
 		}
-		rows = append(rows, r)
+		prev = i + 1
 	}
-	t.rows = rows
-	s := value.SetOf(rows...)
-	t.asSet = &s
-	t.epoch++
+	rows = append(rows, t.rows[prev:]...)
+	t.publishLocked(rows)
 }
 
 // Len returns the current row count.

@@ -98,10 +98,15 @@ func Key(v Value) string {
 // join family) keep a scratch buffer per iterator and look up Go maps via
 // string(buf), which the compiler compiles without allocating; only inserting
 // a previously unseen key materializes a string.
-func AppendKey(buf []byte, v Value) []byte {
+func AppendKey(buf []byte, v Value) []byte { return appendKey(buf, &v) }
+
+// appendKey is AppendKey over a pointer, so the recursion into tuple fields
+// and set elements does not copy each Value.
+func appendKey(buf []byte, v *Value) []byte {
 	if v.kind == KindInt {
 		// Same normalization as hashing: ints encode as floats.
-		return AppendKey(buf, Float(float64(v.i)))
+		buf = append(buf, byte(KindFloat))
+		return appendFloatBits(buf, float64(v.i))
 	}
 	buf = append(buf, byte(v.kind))
 	switch v.kind {
@@ -113,30 +118,36 @@ func AppendKey(buf []byte, v Value) []byte {
 			buf = append(buf, 0)
 		}
 	case KindFloat:
-		f := v.f
-		if f == 0 {
-			f = 0
-		}
-		bits := math.Float64bits(f)
-		if math.IsNaN(f) {
-			bits = math.Float64bits(math.NaN())
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, bits)
+		buf = appendFloatBits(buf, v.f)
 	case KindString:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.s)))
 		buf = append(buf, v.s...)
 	case KindTuple:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.tuple)))
-		for _, f := range v.tuple {
+		for i := range v.tuple {
+			f := &v.tuple[i]
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Label)))
 			buf = append(buf, f.Label...)
-			buf = AppendKey(buf, f.V)
+			buf = appendKey(buf, &f.V)
 		}
 	case KindSet, KindList:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.elems)))
-		for _, e := range v.elems {
-			buf = AppendKey(buf, e)
+		for i := range v.elems {
+			buf = appendKey(buf, &v.elems[i])
 		}
 	}
 	return buf
+}
+
+// appendFloatBits appends f's bits, normalizing -0.0 to 0.0 and every NaN to
+// one pattern so that keys agree with Compare.
+func appendFloatBits(buf []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
+	bits := math.Float64bits(f)
+	if math.IsNaN(f) {
+		bits = math.Float64bits(math.NaN())
+	}
+	return binary.LittleEndian.AppendUint64(buf, bits)
 }

@@ -125,6 +125,15 @@ func SetOf(elems ...Value) Value {
 	return setFromOwned(es)
 }
 
+// SetOfCanonical wraps elems as a set without copying or sorting them. The
+// caller guarantees elems is strictly increasing under Compare (sorted,
+// duplicate-free — exactly SetOf's output order) and never modifies the
+// slice afterwards, since the set shares it. Storage uses it to publish a
+// sealed table's set view over its copy-on-write row snapshot.
+func SetOfCanonical(elems []Value) Value {
+	return Value{kind: KindSet, elems: elems[:len(elems):len(elems)]}
+}
+
 // setFromOwned canonicalizes es in place and wraps it as a set. The caller
 // must not use es afterwards.
 func setFromOwned(es []Value) Value {
